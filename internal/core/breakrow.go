@@ -54,23 +54,25 @@ const bpInfVal = int64(1) << 62
 // instances.
 var minDenseWidth = 64
 
-// encodeRuns32 compresses a dense int32 row whose infeasible sentinel
-// is inval. Returns ok=false — with dst truncated arbitrarily — when
-// the row violates the monotone contract (an interior infeasible cell
-// or an increasing step); the caller must then use the dense kernel.
-func encodeRuns32(row []int32, inval int32, dst []bpRun) ([]bpRun, bool) {
+// encodeRuns compresses a dense row of n cells laid out at the given
+// stride (cell r lives at row[r*stride]: 1 for the MinCost and power
+// rows, the requirement count for the QoS solver's per-requirement
+// columns) whose infeasible sentinel is inval. Returns ok=false — with
+// dst truncated arbitrarily — when the row violates the monotone
+// contract (an interior infeasible cell or an increasing step), or
+// holds a value that cannot be represented without colliding with the
+// internal +inf; the caller must then use the dense kernel.
+func encodeRuns[T int32 | int](row []T, n, stride int, inval T, dst []bpRun) ([]bpRun, bool) {
 	dst = dst[:0]
-	i := 0
-	for i < len(row) && row[i] == inval {
-		i++
+	i, k := 0, 0
+	for i < n && row[k] == inval {
+		i, k = i+1, k+stride
 	}
 	last := bpInfVal
-	for ; i < len(row); i++ {
-		if row[i] == inval {
-			return dst, false
-		}
-		v := int64(row[i])
-		if v > last {
+	for ; i < n; i, k = i+1, k+stride {
+		x := row[k]
+		v := int64(x)
+		if x == inval || v >= bpInfVal || v < math.MinInt64/4 || v > last {
 			return dst, false
 		}
 		if v < last {
@@ -81,64 +83,68 @@ func encodeRuns32(row []int32, inval int32, dst []bpRun) ([]bpRun, bool) {
 	return dst, true
 }
 
-// decodeRuns32 expands runs into the dense row, filling cells before
-// the first run with inval. Exact inverse of encodeRuns32.
-func decodeRuns32(runs []bpRun, row []int32, inval int32) {
-	end := len(row)
+// decodeRuns expands runs into a row of n cells at the given stride,
+// filling cells before the first run with inval. Exact inverse of
+// encodeRuns.
+func decodeRuns[T int32 | int](runs []bpRun, row []T, n, stride int, inval T) {
+	end := n * stride
 	for p := len(runs) - 1; p >= 0; p-- {
-		v := int32(runs[p].val)
-		for i := int(runs[p].start); i < end; i++ {
-			row[i] = v
+		v := T(runs[p].val)
+		lo := int(runs[p].start) * stride
+		for k := lo; k < end; k += stride {
+			row[k] = v
 		}
-		end = int(runs[p].start)
+		end = lo
 	}
-	for i := 0; i < end; i++ {
-		row[i] = inval
+	for k := 0; k < end; k += stride {
+		row[k] = inval
 	}
 }
 
-// encodeRunsIntStrided is encodeRuns32 for an int row of n cells laid
-// out at the given stride (cell r lives at row[r*stride]), the layout
-// of the QoS solver's per-requirement columns. Values at or above
-// bpInfVal also fail the encode: they cannot be represented without
-// colliding with the internal +inf.
-func encodeRunsIntStrided(row []int, n, stride int, inval int, dst []bpRun) ([]bpRun, bool) {
-	dst = dst[:0]
-	i := 0
-	for i < n && row[i*stride] == inval {
-		i++
-	}
-	last := bpInfVal
-	for ; i < n; i++ {
-		v := int64(row[i*stride])
-		if row[i*stride] == inval || v >= bpInfVal || v < math.MinInt64/4 {
-			return dst, false
-		}
-		if v > last {
-			return dst, false
-		}
-		if v < last {
-			dst = append(dst, bpRun{start: int32(i), val: v})
-			last = v
+// firstFeasible returns the index of the first feasible cell of a
+// monotone row of n cells at the given stride (n when the whole row is
+// infeasible).
+func firstFeasible[T int32 | int](row []T, n, stride int, inval T) int32 {
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid*stride] == inval {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return dst, true
+	return int32(lo)
 }
 
-// decodeRunsIntStrided expands runs into a strided int row of n cells,
-// filling cells before the first run with inval.
-func decodeRunsIntStrided(runs []bpRun, row []int, n, stride int, inval int) {
-	end := n
-	for p := len(runs) - 1; p >= 0; p-- {
-		v := int(runs[p].val)
-		for i := int(runs[p].start); i < end; i++ {
-			row[i*stride] = v
+// valueRun locates the cell interval [cl, cr] of a monotone row at the
+// given stride holding exactly value v, searching the feasible region
+// [first, last].
+func valueRun[T int32 | int](row []T, stride int, first, last int32, v int64) (cl, cr int32, ok bool) {
+	at := func(i int32) int64 { return int64(row[int(i)*stride]) }
+	lo, hi := first, last+1
+	for lo < hi {
+		mid := (lo + hi) >> 1
+		if at(mid) <= v {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		end = int(runs[p].start)
 	}
-	for i := 0; i < end; i++ {
-		row[i*stride] = inval
+	if lo > last || at(lo) != v {
+		return 0, 0, false
 	}
+	cl = lo
+	hi = last + 1
+	for lo < hi {
+		mid := (lo + hi) >> 1
+		if at(mid) < v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return cl, lo - 1, true
 }
 
 // bpAt returns the row value at cell k, or bpInfVal when k lies in the

@@ -35,7 +35,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		maxV := 1 + rng.Intn(30)
 		inval := int32(-1)
 		row := randMonotoneRow(rng, width, maxV, inval)
-		runs, ok := encodeRuns32(row, inval, nil)
+		runs, ok := encodeRuns(row, len(row), 1, inval, nil)
 		if !ok {
 			t.Fatalf("trial %d: encode rejected a monotone row %v", trial, row)
 		}
@@ -43,7 +43,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: %d runs for value range %d", trial, len(runs), maxV)
 		}
 		got := make([]int32, width)
-		decodeRuns32(runs, got, inval)
+		decodeRuns(runs, got, width, 1, inval)
 		if !slices.Equal(row, got) {
 			t.Fatalf("trial %d: round-trip mismatch\nrow  %v\ngot  %v\nruns %v", trial, row, got, runs)
 		}
@@ -69,7 +69,7 @@ func TestEncodeRejectsNonMonotone(t *testing.T) {
 		{5, -1, 5, 4, 3}, // infeasible after feasible
 	}
 	for _, row := range cases {
-		if _, ok := encodeRuns32(row, -1, nil); ok {
+		if _, ok := encodeRuns(row, len(row), 1, -1, nil); ok {
 			t.Errorf("encode accepted non-monotone row %v", row)
 		}
 	}
@@ -94,7 +94,7 @@ func TestEncodeDecodeStridedRoundTrip(t *testing.T) {
 				row[i*stride] = int(v)
 			}
 		}
-		runs, ok := encodeRunsIntStrided(row, n, stride, inval, nil)
+		runs, ok := encodeRuns(row, n, stride, inval, nil)
 		if !ok {
 			t.Fatalf("trial %d: encode rejected monotone column", trial)
 		}
@@ -103,13 +103,13 @@ func TestEncodeDecodeStridedRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			got[i*stride] = -99
 		}
-		decodeRunsIntStrided(runs, got, n, stride, inval)
+		decodeRuns(runs, got, n, stride, inval)
 		if !slices.Equal(row, got) {
 			t.Fatalf("trial %d: strided round-trip mismatch", trial)
 		}
 	}
 	// Values at or above bpInfVal are unrepresentable and must fail.
-	if _, ok := encodeRunsIntStrided([]int{int(bpInfVal)}, 1, 1, inval, nil); ok {
+	if _, ok := encodeRuns([]int{int(bpInfVal)}, 1, 1, inval, nil); ok {
 		t.Error("encode accepted a value >= bpInfVal")
 	}
 }
@@ -128,8 +128,8 @@ func TestEnvMinMatchesDense(t *testing.T) {
 		width := 1 + rng.Intn(150)
 		a := randMonotoneRow(rng, width, 1+rng.Intn(20), -1)
 		b := randMonotoneRow(rng, width, 1+rng.Intn(20), -1)
-		ra, _ := encodeRuns32(a, -1, nil)
-		rb, _ := encodeRuns32(b, -1, nil)
+		ra, _ := encodeRuns(a, len(a), 1, -1, nil)
+		rb, _ := encodeRuns(b, len(b), 1, -1, nil)
 		got := envMin(ra, rb, nil)
 		for k := 0; k < width; k++ {
 			want := min(denseAt(a, k, -1), denseAt(b, k, -1))
@@ -169,8 +169,8 @@ func TestConvMatchesDense(t *testing.T) {
 		maxV := 1 + rng.Intn(25)
 		a := randMonotoneRow(rng, wA, maxV, -1)
 		b := randMonotoneRow(rng, wB, maxV, -1)
-		ra, okA := encodeRuns32(a, -1, nil)
-		rb, okB := encodeRuns32(b, -1, nil)
+		ra, okA := encodeRuns(a, len(a), 1, -1, nil)
+		rb, okB := encodeRuns(b, len(b), 1, -1, nil)
 		if !okA || !okB {
 			t.Fatal("fuzzer produced a non-monotone row")
 		}
@@ -233,8 +233,8 @@ func TestPlaceMergeMatchesDense(t *testing.T) {
 		for denseAt(b, wB-1, -1) == bpInfVal {
 			b = randMonotoneRow(rng, wB, maxV, -1)
 		}
-		ra, _ := encodeRuns32(a, -1, nil)
-		rb, _ := encodeRuns32(b, -1, nil)
+		ra, _ := encodeRuns(a, len(a), 1, -1, nil)
+		rb, _ := encodeRuns(b, len(b), 1, -1, nil)
 		maxSum := int64(rng.Intn(2*maxV + 2))
 		outN := rng.Intn(wA + wB) // natural reach (wA-1)+(wB-1)+1
 		got := bpPlaceMerge(ra, rb, maxSum, int32(outN), &sc)

@@ -3,12 +3,13 @@ package core
 import "context"
 
 // This file holds the cooperative-cancellation machinery shared by the
-// three solvers. Each solver owns a cancelGate installed via its
-// SetContext method; the bottom-up passes poll it at coarse checkpoints
-// — between height waves on the parallel path, every cancelStride node
-// tables on the sequential one, and between merge fold steps / scan
-// blocks at the power root — so a cancellation is observed within one
-// checkpoint's worth of work, never mid-table.
+// three solvers. The solverCore each solver embeds owns a cancelGate
+// installed via SetContext; the bottom-up pass polls it at coarse
+// checkpoints — between height waves on the parallel path, every
+// cancelStride node tables on the sequential one (every table for
+// PowerDP), and between merge fold steps / scan blocks at the power
+// root — so a cancellation is observed within one checkpoint's worth of
+// work, never mid-table.
 //
 // Aborting between checkpoints leaves the solver repairable, the same
 // contract as a mid-tree solve error: nothing is committed (neither the

@@ -25,10 +25,9 @@
 // that merges children one at a time, where the table entry for a given
 // "server budget" in a subtree records the minimal number of requests
 // forced to traverse the subtree's root (Lemma 1) — with two
-// implementation refinements documented in DESIGN.md: tables are bounded
-// by per-subtree counts rather than global ones, and solutions are
-// reconstructed from per-merge back-pointers instead of per-cell request
-// vectors.
+// implementation refinements: tables are bounded by per-subtree counts
+// rather than global ones, and solutions are reconstructed from
+// per-merge back-pointers instead of per-cell request vectors.
 //
 // # The monotone-row contract
 //

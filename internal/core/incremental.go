@@ -1,6 +1,10 @@
 package core
 
-import "replicatree/internal/tree"
+import (
+	"context"
+
+	"replicatree/internal/tree"
+)
 
 // This file holds the machinery shared by the incremental re-solve
 // paths of MinCostSolver, QoSSolver and PowerDP. The dynamic programs
@@ -54,7 +58,8 @@ func grownKeep[T any](buf []T, n int) []T {
 	return out
 }
 
-// SolveStats profiles a reusable solver's most recent completed solve.
+// SolveStats profiles a reusable solver's most recent solve; after a
+// cancelled or failed solve it describes the aborted pass (see Stats).
 type SolveStats struct {
 	// Nodes is the number of internal nodes of the bound tree.
 	Nodes int
@@ -178,4 +183,207 @@ func (d *dirtyTracker) commit(t *tree.Tree) {
 		d.seen[j] = t.DemandGen(j)
 	}
 	d.solved = true
+}
+
+// nodeSolver is the per-node half of a solver: rebuild node j's table
+// from its children's retained tables using worker w's scratch.
+type nodeSolver interface {
+	solveNode(j, w int) error
+}
+
+// solverCore is the lifecycle the three solvers (MinCostSolver, PowerDP,
+// QoSSolver) share and embed: the tree binding, the dirty tracker, the
+// wave scheduler, the cancellation gate, the per-worker scratch, and the
+// bottom-up pass that drives a solver's solveNode over the dirty nodes.
+// A is the element type of the solver's merge arenas.
+type solverCore[A int32 | int] struct {
+	t    *tree.Tree
+	node nodeSolver
+
+	track  dirtyTracker
+	wave   waveSched
+	cancel cancelGate
+
+	// Per-worker scratch: merge-intermediate arenas, recycled per node
+	// (intermediates never outlive the node whose merges produced them,
+	// so each arena sizes to the largest single node, not a whole
+	// solve), compressed-merge scratch, merge counters, and the first
+	// error each wave worker hit.
+	arenas []arena[A]
+	bps    []bpScratch
+	mstats []mergeStats
+	errs   []error
+
+	// recomputed counts the node tables the current solve rebuilt.
+	// fullSolve is set for the duration of one solve when every table
+	// must be rebuilt (a global parameter changed, or no valid previous
+	// solve): partial fold replays are then disabled even at nodes whose
+	// children look clean.
+	recomputed int
+	fullSolve  bool
+
+	// st carries the solver-specific counters of SolveStats
+	// (MaskedNodes, the Root* fields); Stats fills in the rest.
+	st SolveStats
+}
+
+// init readies a core for the solver n with one worker. Called once by
+// each constructor before its first Reset.
+func (c *solverCore[A]) init(n nodeSolver) {
+	c.node = n
+	c.arenas = make([]arena[A], 1)
+	c.bps = make([]bpScratch, 1)
+	c.mstats = make([]mergeStats, 1)
+	c.wave.workers = 1
+}
+
+// bind points the core at tree t and forces the next solve to be a full
+// one.
+func (c *solverCore[A]) bind(t *tree.Tree) {
+	c.t = t
+	c.track.bind(t.N())
+}
+
+// SetWorkers sets the number of workers for the bottom-up pass
+// (workers <= 0 selects runtime.GOMAXPROCS(0); 1, the default, runs
+// sequentially without goroutines). Each height wave of the tree is
+// fanned across the workers: a node's table depends only on its
+// children's retained tables, every child sits in a strictly lower
+// wave, and each dirty node is computed by exactly one worker into its
+// own per-node buffers — so results are bit-identical for every worker
+// count (see waveSched). Incremental solves keep their advantage: only
+// the dirty nodes of each wave are dispatched. PowerDP's root, alone in
+// the last wave, keeps its sequential retained-prefix fold either way.
+func (c *solverCore[A]) SetWorkers(workers int) {
+	n := c.wave.setWorkers(workers, func(w, i int) {
+		if err := c.node.solveNode(c.wave.dirtyIdx[i], w); err != nil && c.errs[w] == nil {
+			c.errs[w] = err
+		}
+	})
+	c.arenas = grownKeep(c.arenas, n)[:n]
+	c.bps = grownKeep(c.bps, n)[:n]
+	c.mstats = grownKeep(c.mstats, n)[:n]
+	c.errs = grownKeep(c.errs, n)[:n]
+}
+
+// SetContext installs a context consulted by every following solve at
+// coarse checkpoints: between height waves on the parallel pass, every
+// few node tables on the sequential one (every table for PowerDP), and,
+// for PowerDP, between the root's merge fold steps and between the
+// blocks of its root scan. Once the context is cancelled the in-flight
+// solve stops within one checkpoint and returns the context's error
+// with nothing committed: the solver stays repairable, and the next
+// solve under a live context lands on results byte-identical to a solve
+// that was never interrupted. A nil context — the default — disables
+// the checkpoints entirely.
+func (c *solverCore[A]) SetContext(ctx context.Context) { c.cancel.set(ctx) }
+
+// Invalidate discards the validity of every cached subtree table,
+// forcing the next solve to recompute the whole tree. It is needed only
+// after out-of-band mutations the solver cannot observe: demand edits
+// through SetDemand/SetClientRequests, pre-existing set and mode
+// changes, and constraint edits through the Constraints setters are
+// detected automatically.
+func (c *solverCore[A]) Invalidate() { c.track.invalidate() }
+
+// Stats profiles the most recent solve: how many of the tree's node
+// tables it recomputed and how much merge work it did. Every solve
+// resets these counters before its bottom-up pass, so after a solve
+// that was cancelled (or failed) mid-pass, Stats describes the aborted
+// partial pass, not the last completed solve. PowerDP's Root* counters
+// change only when its root fold or root scan runs.
+func (c *solverCore[A]) Stats() SolveStats {
+	st := c.st
+	st.Nodes, st.Recomputed = c.t.N(), c.recomputed
+	for i := range c.mstats {
+		c.mstats[i].addTo(&st)
+	}
+	return st
+}
+
+// pass runs one bottom-up recomputation of the nodes the tracker marked
+// dirty, skipping the root when skipRoot is set (PowerDP folds it
+// separately). With one worker it walks the post-order, polling the
+// cancellation gate before every stride-th node it rebuilds; otherwise
+// it dispatches the tree wave by wave to the pool (see waveSched.run).
+// It returns the first error a node rebuild reported, or the context's
+// error when the pass was cancelled.
+func (c *solverCore[A]) pass(stride int, skipRoot bool) error {
+	t := c.t
+	for i := range c.mstats {
+		c.mstats[i] = mergeStats{}
+	}
+	c.recomputed = 0
+	var err error
+	if c.wave.workers > 1 {
+		waves := t.Waves()
+		if skipRoot {
+			// The root is provably the sole member of the last wave.
+			waves--
+		}
+		for w := range c.errs {
+			c.errs[w] = nil
+		}
+		var ok bool
+		c.recomputed, ok = c.wave.run(t, c.track.dirty, waves, c.cancel.done)
+		for _, err = range c.errs {
+			if err != nil {
+				break
+			}
+		}
+		if err == nil && !ok {
+			err = c.cancel.ctx.Err()
+		}
+	} else {
+		root, poll := t.Root(), 0
+		for _, j := range t.PostOrder() {
+			if !c.track.dirty[j] || (skipRoot && j == root) {
+				continue
+			}
+			if c.recomputed == poll {
+				if err = c.cancel.err(); err != nil {
+					break
+				}
+				poll += stride
+			}
+			c.recomputed++
+			if err = c.node.solveNode(j, 0); err != nil {
+				break
+			}
+		}
+	}
+	// A per-node reset grows an arena to the need of the node handled
+	// before it, so the growth owed to each arena's last node would
+	// otherwise be deferred into a later solve's first reset — a one-off
+	// allocation there (all-clean solves never reset, so it can land in
+	// a timed region). Flush it inside this solve instead.
+	for i := range c.arenas {
+		c.arenas[i].reset()
+	}
+	return err
+}
+
+// foldStart returns the first step of node j's k-step child fold that
+// must be re-merged: 0 on a full solve; otherwise the first step stale
+// reports, or k when none is stale. When ownDemand is set the fold's
+// base cell holds j's own client demand, so a changed demand restarts
+// it at 0 too, and k then means the retained table is still exact. A
+// restart past step 0 needs the preceding step's compressed output
+// snapshot as the accumulator, so it falls back to 0 when snap (nil =
+// every step retains one) reports none.
+func (c *solverCore[A]) foldStart(j, k int, ownDemand bool, stale, snap func(q int) bool) int {
+	if c.fullSolve || (ownDemand && c.t.DemandGen(j) != c.track.seen[j]) {
+		return 0
+	}
+	q := 0
+	for q < k && !stale(q) {
+		q++
+	}
+	if q == k && ownDemand {
+		return k
+	}
+	if q > 0 && snap != nil && !snap(q-1) {
+		return 0
+	}
+	return q
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -103,7 +102,7 @@ type mcStep struct {
 //
 // A solver is not safe for concurrent use; run one per goroutine.
 type MinCostSolver struct {
-	t     *tree.Tree
+	solverCore[int32]
 	empty *tree.Replicas // stands in for a nil existing set
 
 	// Per node, retained across solves: final table (vals), its
@@ -114,23 +113,6 @@ type MinCostSolver struct {
 	dimN  []int32
 	steps [][]mcStep
 
-	// Merge intermediates live in flat arenas, one per worker so the
-	// wave-parallel pass allocates without synchronisation. They are
-	// recycled per node (not per solve): intermediates never outlive
-	// the node whose merges produced them — the fold's final merge
-	// writes into the retained vals[j] — so each arena only needs to
-	// fit the largest single node, not the whole sweep, which is what
-	// keeps mega-tree solves in O(max node) scratch memory.
-	arenas []arena[int32]
-
-	// Wave-parallel scheduler (see SetWorkers and waveSched).
-	wave waveSched
-
-	// Compressed-merge scratch and merge-layer counters, one per
-	// worker like the arenas.
-	bps    []bpScratch
-	mstats []mergeStats
-
 	// Server-count cap for mega trees (see serverCap): table cells
 	// with more than capB new servers are provably never optimal, so
 	// the n dimension of every table is clamped to capB, turning the
@@ -139,29 +121,16 @@ type MinCostSolver struct {
 	lastCapB int32
 	escUB    []int32 // scratch for the greedy feasibility pass
 
-	// Incremental bookkeeping: which demands each cached table reflects,
-	// the previous solve's pre-existing membership, and its capacity.
-	track      dirtyTracker
-	lastHas    []bool
-	lastW      int32
-	recomputed int
+	// Incremental bookkeeping: the previous solve's pre-existing
+	// membership and capacity.
+	lastHas []bool
+	lastW   int32
 
 	// Fault-mask view (see SetMask): the mask read at the start of the
-	// current solve, the previous solve's view for staleness diffing,
-	// and the count of masked nodes for Stats.
-	mask      tree.FaultMask
-	downNow   []bool
-	lastDown  []bool
-	maskedCnt int
-
-	// fullSolve is set for the duration of one solve when every table
-	// must be rebuilt (W or capB changed, or no valid previous solve):
-	// partial fold replays are then disabled even at nodes whose
-	// children look clean.
-	fullSolve bool
-
-	// Cooperative cancellation (see SetContext and cancelGate).
-	cancel cancelGate
+	// current solve and the previous solve's view for staleness diffing.
+	mask     tree.FaultMask
+	downNow  []bool
+	lastDown []bool
 
 	// Per solve:
 	existing  *tree.Replicas
@@ -171,32 +140,10 @@ type MinCostSolver struct {
 
 // NewMinCostSolver returns a reusable solver for MinCost instances on t.
 func NewMinCostSolver(t *tree.Tree) *MinCostSolver {
-	s := &MinCostSolver{
-		arenas: make([]arena[int32], 1),
-		bps:    make([]bpScratch, 1),
-		mstats: make([]mergeStats, 1),
-	}
-	s.wave.workers = 1
+	s := &MinCostSolver{}
+	s.init(s)
 	s.Reset(t)
 	return s
-}
-
-// SetWorkers sets the number of workers for the bottom-up pass
-// (workers <= 0 selects runtime.GOMAXPROCS(0); 1, the default, runs
-// sequentially without goroutines). Each height wave of the tree is
-// fanned across the workers: a node's table depends only on its
-// children's retained tables, every child sits in a strictly lower
-// wave, and each dirty node is computed by exactly one worker into its
-// own per-node buffers — so results are bit-identical for every worker
-// count (see waveSched). Incremental solves keep their advantage: only
-// the dirty nodes of each wave are dispatched.
-func (s *MinCostSolver) SetWorkers(workers int) {
-	n := s.wave.setWorkers(workers, func(w, i int) {
-		s.solveNode(s.wave.dirtyIdx[i], w)
-	})
-	s.arenas = grownKeep(s.arenas, n)[:n]
-	s.bps = grownKeep(s.bps, n)[:n]
-	s.mstats = grownKeep(s.mstats, n)[:n]
 }
 
 // Reset rebinds the solver to tree t, keeping every retained buffer as
@@ -207,7 +154,7 @@ func (s *MinCostSolver) SetWorkers(workers int) {
 // full invalidation; see Invalidate for the cheaper flag-only form).
 func (s *MinCostSolver) Reset(t *tree.Tree) {
 	n := t.N()
-	s.t = t
+	s.bind(t)
 	if s.empty == nil || s.empty.N() != n {
 		s.empty = tree.NewReplicas(n)
 	}
@@ -221,7 +168,6 @@ func (s *MinCostSolver) Reset(t *tree.Tree) {
 	s.lastHas = grown(s.lastHas, n)
 	s.downNow = grown(s.downNow, n)
 	s.lastDown = grown(s.lastDown, n)
-	s.track.bind(n)
 }
 
 // SetMask points the solver at a fault-mask view consulted at the start
@@ -239,33 +185,6 @@ func (s *MinCostSolver) Reset(t *tree.Tree) {
 // only, so a crash or recovery re-solves in O(depth) tables. The mask
 // is read once per solve; mutating it mid-solve is a race.
 func (s *MinCostSolver) SetMask(m tree.FaultMask) { s.mask = m }
-
-// Invalidate discards the validity of every cached subtree table,
-// forcing the next solve to recompute the whole tree. It is needed
-// only after out-of-band mutations the solver cannot observe (demand
-// edits through SetDemand/SetClientRequests and pre-existing set
-// changes are detected automatically).
-func (s *MinCostSolver) Invalidate() { s.track.invalidate() }
-
-// SetContext installs a context consulted by every following Solve at
-// coarse checkpoints — between height waves on the parallel path,
-// every cancelStride node tables on the sequential one. Once the
-// context is cancelled the in-flight solve stops within one checkpoint
-// and returns the context's error, with nothing committed: the solver
-// stays repairable, and the next Solve (under a live context) lands on
-// results byte-identical to a solve that was never interrupted. A nil
-// context — the default — disables the checkpoints entirely.
-func (s *MinCostSolver) SetContext(ctx context.Context) { s.cancel.set(ctx) }
-
-// Stats profiles the most recent completed solve: how many of the
-// tree's node tables it actually recomputed.
-func (s *MinCostSolver) Stats() SolveStats {
-	st := SolveStats{Nodes: s.t.N(), Recomputed: s.recomputed, MaskedNodes: s.maskedCnt}
-	for i := range s.mstats {
-		s.mstats[i].addTo(&st)
-	}
-	return st
-}
 
 // Solve runs the dynamic program and returns a freshly allocated
 // result. See SolveInto for the allocation-free variant.
@@ -329,12 +248,12 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 	// Snapshot the mask before anything reads it: updateCap's greedy
 	// feasibility pass must avoid down hosts, and the staleness diff
 	// below compares against the previous solve's snapshot.
-	s.maskedCnt = 0
+	s.st.MaskedNodes = 0
 	for j := 0; j < t.N(); j++ {
 		down := s.mask != nil && !s.mask.NodeUp(j)
 		s.downNow[j] = down
 		if down {
-			s.maskedCnt++
+			s.st.MaskedNodes++
 		}
 	}
 	s.updateCap(c)
@@ -345,17 +264,16 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 	// membership and its own up/down state), W and the cap (both reshape
 	// every table) by full invalidation. The cost model only prices the
 	// root scan below.
-	t0 := s.t
 	s.fullSolve = s.w != s.lastW || s.capB != s.lastCapB || !s.track.solved
-	s.track.mark(t0, s.fullSolve)
-	for j := 0; j < t0.N(); j++ {
+	s.track.mark(t, s.fullSolve)
+	for j := 0; j < t.N(); j++ {
 		if s.lastHas[j] != existing.Has(j) || s.lastDown[j] != s.downNow[j] {
-			s.track.markParent(t0, j)
+			s.track.markParent(t, j)
 		}
 	}
-	s.track.propagate(t0)
+	s.track.propagate(t)
 
-	if err := s.run(); err != nil {
+	if err := s.pass(cancelStride, false); err != nil {
 		// Cancelled between checkpoints: the tables rebuilt so far are
 		// exact, and nothing below was committed, so the next solve
 		// re-dirties and recomputes a superset of the interrupted work.
@@ -367,11 +285,11 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 	// finds the instance infeasible, so commit before scanning.
 	s.lastW = s.w
 	s.lastCapB = s.capB
-	for j := 0; j < t0.N(); j++ {
+	for j := 0; j < t.N(); j++ {
 		s.lastHas[j] = existing.Has(j)
 		s.lastDown[j] = s.downNow[j]
 	}
-	s.track.commit(t0)
+	s.track.commit(t)
 
 	res, err := s.scanRoot(c)
 	s.existing, s.placement = nil, nil
@@ -379,44 +297,6 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 		return MinCostResult{}, err
 	}
 	return res, nil
-}
-
-func (s *MinCostSolver) run() error {
-	for i := range s.mstats {
-		s.mstats[i] = mergeStats{}
-	}
-	var runErr error
-	if s.wave.workers > 1 {
-		var ok bool
-		s.recomputed, ok = s.wave.run(s.t, s.track.dirty, s.t.Waves(), s.cancel.done)
-		if !ok {
-			runErr = s.cancel.ctx.Err()
-		}
-	} else {
-		s.recomputed = 0
-		for _, j := range s.t.PostOrder() {
-			if !s.track.dirty[j] {
-				continue
-			}
-			if s.recomputed%cancelStride == 0 {
-				if err := s.cancel.err(); err != nil {
-					runErr = err
-					break
-				}
-			}
-			s.recomputed++
-			s.solveNode(j, 0)
-		}
-	}
-	// A per-node reset grows a buffer to the need of the node handled
-	// before it, so the growth owed to each arena's last node would
-	// otherwise be deferred into a later solve's first reset — a
-	// one-off allocation there (all-clean solves never reset, so it
-	// can land in a timed region). Flush it inside this solve instead.
-	for i := range s.arenas {
-		s.arenas[i].reset()
-	}
-	return runErr
 }
 
 // solveNode rebuilds node j's table from its children's (Algorithms 2
@@ -431,7 +311,7 @@ func (s *MinCostSolver) run() error {
 // re-fold into an O(suffix) one; the snapshots stay valid by induction
 // because any input change to a prefix step makes that step stale and
 // moves the restart point before it.
-func (s *MinCostSolver) solveNode(j, w int) {
+func (s *MinCostSolver) solveNode(j, w int) error {
 	ar, sc, ms := &s.arenas[w], &s.bps[w], &s.mstats[w]
 	kids := s.t.Children(j)
 	if len(kids) == 0 {
@@ -440,25 +320,16 @@ func (s *MinCostSolver) solveNode(j, w int) {
 		s.vals[j] = grown(s.vals[j], 1)
 		s.vals[j][0] = int32(s.t.ClientSum(j))
 		s.dimE[j], s.dimN[j] = 0, 0
-		return
+		return nil
 	}
-	start := 0
-	if !s.fullSolve && s.t.DemandGen(j) == s.track.seen[j] {
-		start = len(kids)
-		for st, ch := range kids {
-			if s.track.dirty[ch] || s.lastHas[ch] != s.existing.Has(ch) || s.lastDown[ch] != s.downNow[ch] {
-				start = st
-				break
-			}
-		}
-		if start == len(kids) {
-			// Nothing this table depends on changed; it was dirtied
-			// spuriously. Keep it as is.
-			return
-		}
-		if start > 0 && !s.steps[j][start-1].comp {
-			start = 0 // no snapshot to restart from
-		}
+	start := s.foldStart(j, len(kids), true, func(q int) bool {
+		ch := kids[q]
+		return s.track.dirty[ch] || s.lastHas[ch] != s.existing.Has(ch) || s.lastDown[ch] != s.downNow[ch]
+	}, func(q int) bool { return s.steps[j][q].comp })
+	if start == len(kids) {
+		// Nothing this table depends on changed; it was dirtied
+		// spuriously. Keep it as is.
+		return nil
 	}
 	ar.reset()
 	var acc []int32
@@ -470,13 +341,14 @@ func (s *MinCostSolver) solveNode(j, w int) {
 		prev := &s.steps[j][start-1]
 		accE, accN = prev.dimE, prev.dimN
 		acc = ar.alloc(int(accN) + 1)
-		decodeRuns32(prev.runs, acc, invalid)
+		decodeRuns(prev.runs, acc, len(acc), 1, invalid)
 		ms.replayed += len(kids) - start
 	}
 	for st := start; st < len(kids); st++ {
 		acc, accE, accN = s.merge(j, st, kids[st], acc, accE, accN, st == len(kids)-1, ar, sc, ms)
 	}
 	s.dimE[j], s.dimN[j] = accE, accN
+	return nil
 }
 
 // merge combines the accumulated table of node j (dimensions accE×accN,
@@ -603,12 +475,12 @@ func (s *MinCostSolver) merge(j, st, ch int, acc []int32, accE, accN int32, last
 // input row fails the monotone-contract check, which sends the caller
 // to the dense kernel; compression is therefore exact unconditionally.
 func (s *MinCostSolver) mergeCompressed(step *mcStep, acc, chVals, out []int32, accN, chN, outN int32, sc *bpScratch, ms *mergeStats) bool {
-	aRuns, okA := encodeRuns32(acc[:accN+1], invalid, sc.acc)
+	aRuns, okA := encodeRuns(acc, int(accN)+1, 1, invalid, sc.acc)
 	sc.acc = aRuns
 	if !okA {
 		return false
 	}
-	cRuns, okC := encodeRuns32(chVals[:chN+1], invalid, sc.ch)
+	cRuns, okC := encodeRuns(chVals, int(chN)+1, 1, invalid, sc.ch)
 	sc.ch = cRuns
 	if !okC {
 		return false
@@ -622,7 +494,7 @@ func (s *MinCostSolver) mergeCompressed(step *mcStep, acc, chVals, out []int32, 
 	step.comp = true
 	step.inRuns = append(step.inRuns[:0], aRuns...)
 	step.runs = append(step.runs[:0], res...)
-	decodeRuns32(res, out[:outN+1], invalid)
+	decodeRuns(res, out, int(outN)+1, 1, invalid)
 	return true
 }
 
@@ -644,7 +516,7 @@ func (s *MinCostSolver) lazyDec(j, st int, step *mcStep, ch int, k int32) mcDec 
 	}
 	chVals := s.vals[ch]
 	chN := s.dimN[ch]
-	cFirst := firstFeasible32(chVals[:chN+1])
+	cFirst := firstFeasible(chVals, int(chN)+1, 1, invalid)
 	accN := int32(0)
 	if st > 0 {
 		accN = s.steps[j][st-1].dimN
@@ -672,7 +544,7 @@ func (s *MinCostSolver) lazyDec(j, st int, step *mcStep, ch int, k int32) mcDec 
 		// value: the child cell k-n1 must hold exactly v-va.
 		n1n := int32(-1)
 		if noPlaceOK {
-			if cl, cr, ok := valueRun32(chVals, cFirst, chN, int32(v-va)); ok {
+			if cl, cr, ok := valueRun(chVals, 1, cFirst, chN, v-va); ok {
 				if lo, hi := max(rs, k-cr), min(re, k-cl); lo <= hi {
 					n1n = lo
 				}
@@ -688,49 +560,6 @@ func (s *MinCostSolver) lazyDec(j, st int, step *mcStep, ch int, k int32) mcDec 
 		// candidate owns the decision; keep scanning only on none.
 	}
 	panic(fmt.Sprintf("core: no decision for cell (0,%d) at node %d step %d", k, j, st))
-}
-
-// firstFeasible32 returns the index of the first non-invalid cell of a
-// monotone row (its length when the whole row is infeasible).
-func firstFeasible32(row []int32) int32 {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid] == invalid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
-}
-
-// valueRun32 locates the cell interval [cl, cr] of a monotone row
-// holding exactly value v, searching the feasible region [first, last].
-func valueRun32(row []int32, first, last, v int32) (cl, cr int32, ok bool) {
-	lo, hi := first, last+1
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if row[mid] <= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo > last || row[lo] != v {
-		return 0, 0, false
-	}
-	cl = lo
-	hi = last + 1
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if row[mid] < v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return cl, lo - 1, true
 }
 
 // scanRoot evaluates every root-table cell with and without a replica on

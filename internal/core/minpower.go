@@ -1,16 +1,13 @@
 package core
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"replicatree/internal/cost"
-	"replicatree/internal/par"
 	"replicatree/internal/power"
 	"replicatree/internal/tree"
 )
@@ -18,7 +15,10 @@ import (
 // PowerProblem is an instance of MinPower-BoundedCost (Section 4.3). A
 // nil Existing set gives the NoPre variant; otherwise the modes stored
 // in Existing are the initial operating modes of the pre-existing
-// servers.
+// servers. A problem carries no worker count: parallelism is a property
+// of the solver, selected with PowerDP.SetWorkers, which fans the
+// non-root nodes of each height wave across a worker pool with
+// bit-identical results.
 type PowerProblem struct {
 	// Tree may be nil when solving through a PowerDP, which supplies
 	// its own tree.
@@ -26,19 +26,6 @@ type PowerProblem struct {
 	Existing *tree.Replicas
 	Power    power.Model
 	Cost     cost.Modal
-	// Workers > 1 parallelises the large table merges across that many
-	// goroutines (0 or 1 = sequential). Results are identical either
-	// way: the parallel path resolves ties with the same deterministic
-	// provenance order the sequential scan produces. Leave it at 0
-	// when the caller already runs many solvers concurrently, as the
-	// experiment harness does; the parallel path also trades the
-	// sequential path's allocation-freeness for wall-clock.
-	//
-	// Workers is independent of the subtree-level parallelism selected
-	// with PowerDP.SetWorkers: when the wave scheduler is active it
-	// accelerates only the root fold and the root scan — non-root
-	// merges already run node-parallel and never nest a second fan-out.
-	Workers int
 }
 
 // PowerResult is one optimal placement with its exact cost and power.
@@ -76,8 +63,8 @@ type frontEntry struct {
 }
 
 // pUnreached marks table cells with no feasible solution. Valid entries
-// are at most W_M, so any value above wm is "unreached"; MaxInt32 makes
-// the parallel atomic-min loops branch-free.
+// are at most W_M, so any value above wm is "unreached"; MaxInt32 lets
+// the merge keep the plain "smaller value wins" update.
 const pUnreached = int32(math.MaxInt32)
 
 // noProv marks cells whose provenance has not been written.
@@ -125,8 +112,7 @@ type pStep struct {
 //
 // The complexity matches Theorem 3: O(N^{2M+1}) without pre-existing
 // servers and O(N^{2M²+2M+1}) with them, in the worst case; per-subtree
-// dimension bounds make typical instances far cheaper, and large merges
-// run in parallel when Workers > 1.
+// dimension bounds make typical instances far cheaper.
 //
 // The program is exact only under the closest access policy
 // (tree.PolicyClosest); see the package documentation for the relaxed
@@ -154,8 +140,8 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 // Merge intermediates live in flat arenas and every node's final
 // table, shape and provenance in retained per-node buffers, all grown
 // monotonically to the high-water mark of past solves, so after two
-// warm-up solves of an instance shape every further sequential Solve
-// performs no heap allocation.
+// warm-up solves of an instance shape every further Solve performs no
+// heap allocation.
 //
 // The retained tables make solves incremental, mode-indexed shapes
 // included: demand edits through tree.Tree.SetDemand dirty the touched
@@ -172,15 +158,14 @@ func SolvePower(p PowerProblem) (*PowerSolver, error) {
 // invalidated by the next Solve (or Reset). A PowerDP is not safe for
 // concurrent use; run one per goroutine.
 type PowerDP struct {
-	t     *tree.Tree
+	solverCore[int32]
 	empty *tree.Replicas
 
 	// Per-solve configuration.
-	prob    PowerProblem
-	M       int   // number of modes
-	nf      int   // number of vector fields, M + M²
-	wm      int32 // W_M
-	workers int
+	prob PowerProblem
+	M    int   // number of modes
+	nf   int   // number of vector fields, M + M²
+	wm   int32 // W_M
 
 	// Per node, retained across solves: final table, its shape, the
 	// per-merge provenance tables (steps[j] has one entry per child of
@@ -193,12 +178,9 @@ type PowerDP struct {
 	preCnt [][]int32
 
 	// Incremental bookkeeping.
-	track      dirtyTracker
-	lastMode   []uint8
-	lastPower  power.Model
-	fullSolve  bool // this solve rebuilds every table (set per Solve)
-	noPre      bool // no pre-existing servers: compressed merges allowed
-	recomputed int
+	lastMode  []uint8
+	lastPower power.Model
+	noPre     bool // no pre-existing servers: compressed merges allowed
 
 	// Root-scan state (minpower_root.go): retained partial root merges,
 	// the previous solve's final root table and per-block Pareto fronts
@@ -217,64 +199,24 @@ type PowerDP struct {
 	scanPower      power.Model
 	scanMode0      uint8
 	scanPre        []int
-	rootScanned    int
-	rootRepriced   int
-
-	// Merge intermediates, one arena per wave worker (arenas[0] also
-	// serves the sequential path and the root fold). Arenas reset per
-	// node — intermediates never outlive a node's computation, the
-	// final merge writes into the retained vals[j] — so each arena
-	// sizes to the largest single node, not a whole solve.
-	arenas   []arena[int32]
-	bps      []bpScratch  // compressed-merge scratch, parallel to arenas
-	mstats   []mergeStats // per-worker merge counters, parallel to arenas
-	wave     waveSched
-	waveErrs []error // first error per wave worker
 
 	// Volatility-ordered root fold (minpower_root.go): how often each
 	// root child's subtree was observed changed since the last Reset,
-	// the fold order derived from those counts, and how many fold steps
-	// the last solve reused.
-	volCount     []int64
-	rootOrder    []int // fold position -> child position (empty = natural)
-	rootRetained int
+	// and the fold order derived from those counts.
+	volCount  []int64
+	rootOrder []int // fold position -> child position (empty = natural)
 
 	cands []frontEntry // root-scan candidates, high-water reused
 	front []frontEntry // pruned Pareto front, high-water reused
 	sol   PowerSolver
-
-	// Cooperative cancellation (see SetContext and cancelGate).
-	cancel cancelGate
 }
 
 // NewPowerDP returns a reusable power solver for t.
 func NewPowerDP(t *tree.Tree) *PowerDP {
-	d := &PowerDP{
-		arenas: make([]arena[int32], 1),
-		bps:    make([]bpScratch, 1),
-		mstats: make([]mergeStats, 1),
-	}
-	d.wave.workers = 1
+	d := &PowerDP{}
+	d.init(d)
 	d.Reset(t)
 	return d
-}
-
-// SetWorkers selects the worker count of the subtree-parallel bottom-up
-// pass (see waveSched): 1 — the default — keeps the sequential
-// post-order walk, <= 0 selects runtime.GOMAXPROCS(0). The root keeps
-// its sequential retained-prefix fold either way; only the non-root
-// waves fan out. Results are bit-identical for every worker count.
-func (d *PowerDP) SetWorkers(workers int) {
-	n := d.wave.setWorkers(workers, func(w, i int) {
-		j := d.wave.dirtyIdx[i]
-		if err := d.solveNode(j, w, false); err != nil && d.waveErrs[w] == nil {
-			d.waveErrs[w] = err
-		}
-	})
-	d.arenas = grownKeep(d.arenas, n)[:n]
-	d.bps = grownKeep(d.bps, n)[:n]
-	d.mstats = grownKeep(d.mstats, n)[:n]
-	d.waveErrs = grownKeep(d.waveErrs, n)[:n]
 }
 
 // Reset rebinds the solver to tree t, keeping every retained buffer as
@@ -284,7 +226,7 @@ func (d *PowerDP) SetWorkers(workers int) {
 // by an earlier Solve is invalidated.
 func (d *PowerDP) Reset(t *tree.Tree) {
 	n := t.N()
-	d.t = t
+	d.bind(t)
 	if d.empty == nil || d.empty.N() != n {
 		d.empty = tree.NewReplicas(n)
 	}
@@ -310,29 +252,34 @@ func (d *PowerDP) Reset(t *tree.Tree) {
 	// values (a min-plus convolution over disjoint count coordinates),
 	// so only the provenance path differs — and reconstruction follows
 	// the same order via PowerSolver.rootOrder.
-	d.rootOrder = nil
+	// The order reuses the previous order's buffer (empty = natural),
+	// which keeps a pooled Reset + Solve cycle allocation-free.
+	order := d.rootOrder[:0]
+	natural := true
 	if K > 1 && K == len(d.volCount) {
-		order := make([]int, K)
-		for i := range order {
-			order[i] = i
+		for i := 0; i < K; i++ {
+			order = append(order, i)
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return d.volCount[order[a]] < d.volCount[order[b]]
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Compare(d.volCount[a], d.volCount[b])
 		})
 		for i, st := range order {
 			if i != st {
-				d.rootOrder = order
+				natural = false
 				break
 			}
 		}
 	}
+	if natural {
+		order = order[:0]
+	}
+	d.rootOrder = order
 	d.volCount = grown(d.volCount, K)
 	for i := range d.volCount {
 		d.volCount[i] = 0
 	}
 
 	d.scanOK = false
-	d.track.bind(n)
 }
 
 // Invalidate discards the validity of every cached subtree table and
@@ -342,36 +289,8 @@ func (d *PowerDP) Reset(t *tree.Tree) {
 // swaps and cost-model changes are detected automatically and do not
 // need it.
 func (d *PowerDP) Invalidate() {
-	d.track.invalidate()
+	d.solverCore.Invalidate()
 	d.scanOK = false
-}
-
-// SetContext installs a context consulted by every following Solve at
-// coarse checkpoints: between height waves (or per node on the
-// sequential pass), between the merge fold steps of the root, and
-// between the blocks of the root scan. A cancelled context aborts the
-// in-flight solve within one checkpoint and returns the context's
-// error; like any mid-tree solve error the abort invalidates the
-// retained tables, so the next solve under a live context recomputes
-// from scratch and byte-matches a never-interrupted cold solve. A nil
-// context — the default — disables the checkpoints.
-func (d *PowerDP) SetContext(ctx context.Context) { d.cancel.set(ctx) }
-
-// Stats profiles the most recent completed solve: how many of the
-// tree's node tables it actually recomputed, and how much of the root
-// scan it had to re-price (see SolveStats).
-func (d *PowerDP) Stats() SolveStats {
-	st := SolveStats{
-		Nodes:             d.t.N(),
-		Recomputed:        d.recomputed,
-		RootCellsScanned:  d.rootScanned,
-		RootCellsRepriced: d.rootRepriced,
-		RootMergeRetained: d.rootRetained,
-	}
-	for i := range d.mstats {
-		d.mstats[i].addTo(&st)
-	}
-	return st
 }
 
 // retainShape copies a shape built from arena storage into node j's
@@ -422,15 +341,7 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 	if m := p.Tree.MaxClientSum(); m > p.Power.MaxCap() {
 		return nil, fmt.Errorf("core: a node's clients demand %d > W_M=%d: %w", m, p.Power.MaxCap(), ErrInfeasible)
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > runtime.NumCPU() {
-		workers = runtime.NumCPU()
-	}
-
-	d.prob, d.M, d.nf, d.wm, d.workers = p, M, M+M*M, int32(p.Power.MaxCap()), workers
+	d.prob, d.M, d.nf, d.wm = p, M, M+M*M, int32(p.Power.MaxCap())
 	d.noPre = p.Existing.Count() == 0
 
 	// Demands dirty their ancestor chain; a changed initial mode of a
@@ -449,10 +360,10 @@ func (d *PowerDP) Solve(p PowerProblem) (*PowerSolver, error) {
 	d.track.propagate(t0)
 
 	if err := d.run(); err != nil {
-		// A mid-tree failure (table-size overflow) has already
-		// overwritten some retained tables for the failed instance;
-		// nothing was committed, so force the next solve to rebuild
-		// everything rather than mix instances.
+		// A mid-tree failure (table-size overflow or cancellation) has
+		// already overwritten some retained tables for the failed
+		// instance; nothing was committed, so force the next solve to
+		// rebuild everything rather than mix instances.
 		d.track.invalidate()
 		return nil, err
 	}
@@ -506,77 +417,41 @@ func (d *PowerDP) nodeDims(dims []int32, newCnt int32, preCnt []int32) {
 	}
 }
 
+// run rebuilds every dirty table: the non-root nodes in the shared
+// bottom-up pass, polling the cancellation gate before every table
+// (power tables are expensive enough that a per-node poll is
+// invisible), then the root's retained-prefix fold.
 func (d *PowerDP) run() error {
-	t := d.prob.Tree
-	d.recomputed = 0
 	d.rootRecomputed = false
-	for i := range d.mstats {
-		d.mstats[i] = mergeStats{}
+	if err := d.pass(1, true); err != nil {
+		return err
 	}
-	root := t.Root()
+	return d.runRoot()
+}
 
-	if d.wave.workers > 1 {
-		// Every non-root node lies in waves 0..Waves()-2 — the root is
-		// provably the sole member of the last wave — so the scheduler
-		// covers exactly the generic nodes and the root's retained-prefix
-		// fold runs sequentially on the caller afterwards, where its big
-		// merges may still fan out via mergeParallel.
-		for w := range d.waveErrs {
-			d.waveErrs[w] = nil
-		}
-		var ok bool
-		d.recomputed, ok = d.wave.run(t, d.track.dirty, t.Waves()-1, d.cancel.done)
-		for _, err := range d.waveErrs {
-			if err != nil {
-				return err
-			}
-		}
-		if !ok {
-			return d.cancel.ctx.Err()
-		}
-		// Flush the growth owed to each wave arena's last node into
-		// this solve (see MinCostSolver.run). arenas[0] needs no flush:
-		// runRoot resets it unconditionally on every solve.
-		for i := 1; i < len(d.arenas); i++ {
-			d.arenas[i].reset()
-		}
-		return d.runRoot()
-	}
+// childStale reports whether child ch's fold step is stale: its subtree
+// table was rebuilt, or its pre-existing mode changed.
+func (d *PowerDP) childStale(ch int) bool {
+	return d.track.dirty[ch] || d.lastMode[ch] != d.prob.Existing.Mode(ch)
+}
 
-	for _, j := range t.PostOrder() {
-		if j == root {
-			// The root keeps its partial merges across solves so a
-			// single dirty child only re-runs the merge suffix from
-			// that child onward (minpower_root.go).
-			if err := d.runRoot(); err != nil {
-				return err
-			}
-			continue
-		}
-		if !d.track.dirty[j] {
-			continue
-		}
-		// Power tables are expensive enough that a per-node poll is
-		// invisible, and it keeps cancellation latency at one table.
-		if err := d.cancel.err(); err != nil {
-			return err
-		}
-		d.recomputed++
-		if err := d.solveNode(j, 0, true); err != nil {
-			return err
-		}
+// unitShape returns the all-ones shape of a single-cell table (backed
+// by ar): the base of every child fold.
+func (d *PowerDP) unitShape(ar *arena[int32]) shape {
+	dims := ar.alloc(d.nf)
+	for f := range dims {
+		dims[f] = 1
 	}
-	return nil
+	sh, _ := fillShape(dims, ar.alloc(d.nf)) // one cell: cannot overflow
+	return sh
 }
 
 // solveNode rebuilds the final table of non-root node j, drawing merge
-// intermediates from worker w's arena (reset here, per node). allowPar
-// gates mergeInto's within-merge fan-out: wave workers pass false so a
-// parallel sweep never nests a second one. When only a suffix of the
-// child fold is stale and the preceding step was merged compressed,
-// the fold restarts from its retained snapshot instead of from
-// scratch.
-func (d *PowerDP) solveNode(j, w int, allowPar bool) error {
+// intermediates from worker w's arena (reset here, per node). When only
+// a suffix of the child fold is stale and the preceding step was merged
+// compressed, the fold restarts from its retained snapshot instead of
+// from scratch.
+func (d *PowerDP) solveNode(j, w int) error {
 	t := d.prob.Tree
 	ar, sc, ms := &d.arenas[w], &d.bps[w], &d.mstats[w]
 	ar.reset()
@@ -590,17 +465,9 @@ func (d *PowerDP) solveNode(j, w int, allowPar bool) error {
 	if len(kids) == 0 {
 		// A leaf's final table is the single base cell holding the
 		// requests of j's own clients.
-		accDims := ar.alloc(d.nf)
-		for f := range accDims {
-			accDims[f] = 1
-		}
-		accShape, err := fillShape(accDims, ar.alloc(d.nf))
-		if err != nil {
-			return err
-		}
 		d.vals[j] = grown(d.vals[j], 1)
 		d.vals[j][0] = int32(t.ClientSum(j))
-		d.retainShape(j, accShape)
+		d.retainShape(j, d.unitShape(ar))
 		d.newCnt[j] = accNew
 		d.preCnt[j] = append(d.preCnt[j][:0], accPre...)
 		return nil
@@ -611,34 +478,17 @@ func (d *PowerDP) solveNode(j, w int, allowPar bool) error {
 	// mode invalidates its step and everything after. Restarting
 	// mid-fold needs the preceding step's compressed snapshot to
 	// re-seed the accumulated table.
-	start := 0
-	if !d.fullSolve && t.DemandGen(j) == d.track.seen[j] {
-		start = len(kids)
-		for st, ch := range kids {
-			if d.track.dirty[ch] || d.lastMode[ch] != d.prob.Existing.Mode(ch) {
-				start = st
-				break
-			}
-		}
-		if start == len(kids) {
-			return nil // spurious dirty; the retained table is exact
-		}
-		if start > 0 && !d.steps[j][start-1].comp {
-			start = 0
-		}
+	start := d.foldStart(j, len(kids), true, func(q int) bool { return d.childStale(kids[q]) },
+		func(q int) bool { return d.steps[j][q].comp })
+	if start == len(kids) {
+		return nil // spurious dirty; the retained table is exact
 	}
 
 	var acc []int32
 	var accShape shape
 	var err error
 	if start == 0 {
-		accDims := ar.alloc(d.nf)
-		for f := range accDims {
-			accDims[f] = 1
-		}
-		if accShape, err = fillShape(accDims, ar.alloc(d.nf)); err != nil {
-			return err
-		}
+		accShape = d.unitShape(ar)
 		acc = ar.alloc(1)
 		acc[0] = int32(t.ClientSum(j))
 	} else {
@@ -667,7 +517,7 @@ func (d *PowerDP) solveNode(j, w int, allowPar bool) error {
 		ms.replayed += len(kids) - start
 	}
 	for st := start; st < len(kids); st++ {
-		acc, accShape, err = d.merge(j, st, kids[st], acc, accShape, &accNew, accPre, st == len(kids)-1, ar, allowPar, sc, ms)
+		acc, accShape, err = d.merge(j, st, kids[st], acc, accShape, &accNew, accPre, st == len(kids)-1, ar, sc, ms)
 		if err != nil {
 			return err
 		}
@@ -701,7 +551,7 @@ func (d *PowerDP) childDims(ch int, accNew int32, accPre []int32, ar *arena[int3
 // table of node j, updating the accumulated subtree counts in place.
 // The last merge writes straight into j's retained final table;
 // earlier ones use arena intermediates.
-func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int32, accPre []int32, last bool, ar *arena[int32], allowPar bool, sc *bpScratch, ms *mergeStats) ([]int32, shape, error) {
+func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int32, accPre []int32, last bool, ar *arena[int32], sc *bpScratch, ms *mergeStats) ([]int32, shape, error) {
 	outNew, outPre, outShape, err := d.childDims(ch, *accNew, accPre, ar)
 	if err != nil {
 		return nil, shape{}, err
@@ -713,7 +563,7 @@ func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int3
 	} else {
 		out = ar.alloc(outShape.size)
 	}
-	d.mergeInto(j, st, ch, acc, accShape, outShape, out, ar, allowPar, sc, ms)
+	d.mergeInto(j, st, ch, acc, accShape, outShape, out, ar, sc, ms)
 	*accNew = outNew
 	copy(accPre, outPre)
 	return out, outShape, nil
@@ -722,7 +572,7 @@ func (d *PowerDP) merge(j, st, ch int, acc []int32, accShape shape, accNew *int3
 // mergeInto runs the actual table merge of child ch — the st-th child
 // of j — into out (sized outShape.size), refreshing the step's
 // provenance table.
-func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape, out []int32, ar *arena[int32], allowPar bool, sc *bpScratch, ms *mergeStats) {
+func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape, out []int32, ar *arena[int32], sc *bpScratch, ms *mergeStats) {
 	chShape := d.shapes[ch]
 	chVals := d.vals[ch]
 	chMode0 := int(d.prob.Existing.Mode(ch)) // 0 when ch is not pre-existing
@@ -758,21 +608,12 @@ func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape
 			placeBump[m] = outShape.strides[d.fieldReuse(chMode0, m)]
 		}
 	}
-
-	// The merge work is |acc|·|child|·(M+1); go parallel only when it
-	// pays for the second provenance pass and the goroutine fan-out.
-	const parallelThreshold = 1 << 22
-	work := int64(accShape.size) * int64(chShape.size) * int64(d.M+1)
-	if allowPar && d.workers > 1 && work >= parallelThreshold {
-		d.mergeParallel(acc, accShape, chVals, chShape, outShape, out, prov, placeBump)
-	} else {
-		d.mergeSequential(acc, accShape, chVals, chShape, outShape, out, prov, placeBump, ar)
-	}
+	d.mergeSequential(acc, accShape, chVals, chShape, outShape, out, prov, placeBump, ar)
 }
 
-// mergeSequential is the single-goroutine merge: first writer of the
-// minimal value wins, which by scan order is the smallest (accumulated
-// cell, child cell) pair — the same order packProv encodes.
+// mergeSequential is the dense merge: first writer of the minimal value
+// wins, which by scan order is the smallest (accumulated cell, child
+// cell) pair — the same order packProv encodes.
 func (d *PowerDP) mergeSequential(acc []int32, accShape shape, chVals []int32, chShape shape, outShape shape, out []int32, prov []uint64, placeBump []int32, ar *arena[int32]) {
 	pm := d.prob.Power
 	update := func(idx int32, v int32, p uint64) {
@@ -806,90 +647,6 @@ func (d *PowerDP) mergeSequential(acc []int32, accShape shape, chVals []int32, c
 			}
 		}
 		ao.next()
-	}
-}
-
-// mergeParallel splits the accumulated table across workers in two
-// phases: an atomic-min pass over the values, then an atomic-min pass
-// over the packed provenance of value-optimal transitions. Both minima
-// are order-free, so the result is identical to the sequential merge.
-func (d *PowerDP) mergeParallel(acc []int32, accShape shape, chVals []int32, chShape shape, outShape shape, out []int32, prov []uint64, placeBump []int32) {
-	pm := d.prob.Power
-	chunks := d.workers * 4
-	chunkSize := (accShape.size + chunks - 1) / chunks
-
-	scan := func(chunk int, visit func(base int32, aFlat, cFlat int, a, cv int32)) {
-		lo := chunk * chunkSize
-		hi := min(lo+chunkSize, accShape.size)
-		if lo >= hi {
-			return
-		}
-		ao := odometerAt(accShape.dims, outShape.strides, lo)
-		co := newOdometer(chShape.dims, outShape.strides)
-		for aFlat := lo; aFlat < hi; aFlat++ {
-			a := acc[aFlat]
-			if a <= d.wm {
-				co.reset()
-				for cFlat := 0; cFlat < chShape.size; cFlat++ {
-					cv := chVals[cFlat]
-					if cv <= d.wm {
-						visit(ao.out+co.out, aFlat, cFlat, a, cv)
-					}
-					co.next()
-				}
-			}
-			ao.next()
-		}
-	}
-
-	// Phase 1: minimal values.
-	par.ForEach(chunks, d.workers, func(chunk int) {
-		scan(chunk, func(base int32, aFlat, cFlat int, a, cv int32) {
-			if a+cv <= d.wm {
-				atomicMinInt32(&out[base], a+cv)
-			}
-			minMode, ok := pm.ModeFor(int(cv))
-			if ok {
-				for m := minMode; m <= d.M; m++ {
-					atomicMinInt32(&out[base+placeBump[m]], a)
-				}
-			}
-		})
-	})
-	// Phase 2: minimal provenance among value-optimal transitions.
-	par.ForEach(chunks, d.workers, func(chunk int) {
-		scan(chunk, func(base int32, aFlat, cFlat int, a, cv int32) {
-			if a+cv <= d.wm && out[base] == a+cv {
-				atomicMinUint64(&prov[base], packProv(aFlat, cFlat, 0))
-			}
-			minMode, ok := pm.ModeFor(int(cv))
-			if ok {
-				for m := minMode; m <= d.M; m++ {
-					idx := base + placeBump[m]
-					if out[idx] == a {
-						atomicMinUint64(&prov[idx], packProv(aFlat, cFlat, uint8(m)))
-					}
-				}
-			}
-		})
-	})
-}
-
-func atomicMinInt32(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v >= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
-}
-
-func atomicMinUint64(addr *uint64, v uint64) {
-	for {
-		cur := atomic.LoadUint64(addr)
-		if v >= cur || atomic.CompareAndSwapUint64(addr, cur, v) {
-			return
-		}
 	}
 }
 

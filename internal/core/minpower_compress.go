@@ -68,7 +68,7 @@ func encodeTableRows(tab []int32, rows int, rowLen int32, M int, off *[]int32, r
 	for r := 0; r < rows; r++ {
 		base := r * int(rowLen)
 		eff := max(rowLen-sum, 0)
-		enc, ok := encodeRuns32(tab[base:base+int(eff)], pUnreached, *tmp)
+		enc, ok := encodeRuns(tab[base:], int(eff), 1, pUnreached, *tmp)
 		*runs = append(*runs, enc...)
 		*tmp = enc[:0]
 		if !ok {
@@ -86,7 +86,7 @@ func encodeTableRows(tab []int32, rows int, rowLen int32, M int, off *[]int32, r
 }
 
 // mergeCompressed is the breakpoint-compressed counterpart of
-// mergeSequential/mergeParallel for merges without pre-existing
+// mergeSequential for merges without pre-existing
 // servers. It reads the dense acc and child tables, computes in
 // runs-space and decodes the dense output, so everything around the
 // merge (retained tables, the root fold, the root scan) is untouched.
@@ -214,7 +214,7 @@ func (d *PowerDP) mergeCompressed(step *pStep, acc []int32, accShape shape, chVa
 	for r := 0; r < outRows; r++ {
 		eff := max(outLen-sumO, 0)
 		base := r * int(outLen)
-		decodeRuns32(rows[r], out[base:base+int(eff)], pUnreached)
+		decodeRuns(rows[r], out[base:], int(eff), 1, pUnreached)
 		for i := base + int(eff); i < base+int(outLen); i++ {
 			out[i] = pUnreached
 		}
@@ -248,7 +248,7 @@ func decodeStep(step *pStep, dst []int32, M int) {
 	for r := 0; r < rows; r++ {
 		eff := max(outLen-sum, 0)
 		base := r * int(outLen)
-		decodeRuns32(step.outRuns[step.outOff[r]:step.outOff[r+1]], dst[base:base+int(eff)], pUnreached)
+		decodeRuns(step.outRuns[step.outOff[r]:step.outOff[r+1]], dst[base:], int(eff), 1, pUnreached)
 		for i := base + int(eff); i < base+int(outLen); i++ {
 			dst[i] = pUnreached
 		}

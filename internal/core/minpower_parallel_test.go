@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"replicatree/internal/cost"
@@ -8,30 +9,6 @@ import (
 	"replicatree/internal/rng"
 	"replicatree/internal/tree"
 )
-
-func TestOdometerAtMatchesSequential(t *testing.T) {
-	s, err := newShape([]int32{3, 4, 2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := newShape([]int32{6, 8, 4, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newOdometer(s.dims, big.strides)
-	for flat := 0; flat < s.size; flat++ {
-		got := odometerAt(s.dims, big.strides, flat)
-		if got.out != ref.out {
-			t.Fatalf("flat %d: out %d, want %d", flat, got.out, ref.out)
-		}
-		for f := range ref.coords {
-			if got.coords[f] != ref.coords[f] {
-				t.Fatalf("flat %d: coords %v, want %v", flat, got.coords, ref.coords)
-			}
-		}
-		ref.next()
-	}
-}
 
 func TestPackProvRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -58,10 +35,24 @@ func TestPackProvRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParallelPowerMatchesSequential forces the parallel merge path
-// (Workers > 1 with instances above the work threshold) and checks the
-// entire solver output — front and every reconstructed placement —
-// against the sequential run.
+// solvePowerWorkers solves p on a fresh PowerDP running the given
+// number of subtree-parallel workers, releasing its pool afterwards.
+func solvePowerWorkers(t *testing.T, p PowerProblem, workers int) *PowerSolver {
+	t.Helper()
+	dp := NewPowerDP(p.Tree)
+	dp.SetWorkers(workers)
+	defer dp.SetWorkers(1)
+	s, err := dp.Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestParallelPowerMatchesSequential runs the wave-parallel bottom-up
+// pass (SetWorkers(8)) on with-pre instances and checks the entire
+// solver output — front and every reconstructed placement — against the
+// sequential run.
 func TestParallelPowerMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel-vs-sequential comparison is slow")
@@ -70,71 +61,30 @@ func TestParallelPowerMatchesSequential(t *testing.T) {
 	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
 	for seed := uint64(0); seed < 3; seed++ {
 		src := rng.Derive(seed, 80)
-		// 60-node trees with pre-existing servers produce merges well
-		// above the parallel threshold.
+		// 60-node trees with pre-existing servers produce wide waves of
+		// large with-pre merges.
 		tr := tree.MustGenerate(tree.PowerConfig(60), src)
 		ex, _ := tree.RandomReplicas(tr, 6, 2, src)
-
-		seq, err := SolvePower(PowerProblem{Tree: tr, Existing: ex, Power: pm, Cost: cm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parl, err := SolvePower(PowerProblem{Tree: tr, Existing: ex, Power: pm, Cost: cm, Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, fp := seq.Front(), parl.Front()
-		if len(fs) != len(fp) {
-			t.Fatalf("seed %d: front sizes %d vs %d", seed, len(fs), len(fp))
-		}
-		for i := range fs {
-			if fs[i] != fp[i] {
-				t.Fatalf("seed %d: front point %d differs: %+v vs %+v", seed, i, fs[i], fp[i])
-			}
-			if !seq.At(i).Placement.Equal(parl.At(i).Placement) {
-				t.Fatalf("seed %d: placement %d differs", seed, i)
-			}
-		}
+		p := PowerProblem{Tree: tr, Existing: ex, Power: pm, Cost: cm}
+		frontsEqual(t, fmt.Sprintf("seed %d", seed), solvePowerWorkers(t, p, 1), solvePowerWorkers(t, p, 8))
 	}
 }
 
-// TestParallelPowerSmallInstances exercises Workers > 1 on instances
-// below the threshold (sequential path must be taken and results equal).
+// TestParallelPowerSmallInstances runs SetWorkers(8) on a 15-node
+// no-pre instance, whose waves mostly stay below the pool's inline
+// threshold, and checks it against the sequential run.
 func TestParallelPowerSmallInstances(t *testing.T) {
 	pm := power.MustNew([]int{5, 10}, 12.5, 3)
 	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
 	src := rng.New(81)
 	tr := tree.MustGenerate(tree.PowerConfig(15), src)
-	seq, err := SolvePower(PowerProblem{Tree: tr, Power: pm, Cost: cm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parl, err := SolvePower(PowerProblem{Tree: tr, Power: pm, Cost: cm, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.MinPower().Power != parl.MinPower().Power {
-		t.Fatal("results differ on small instance")
-	}
+	p := PowerProblem{Tree: tr, Power: pm, Cost: cm}
+	frontsEqual(t, "small instance", solvePowerWorkers(t, p, 1), solvePowerWorkers(t, p, 8))
 }
 
-// TestParallelWorkersClamped checks that absurd worker counts are
-// clamped rather than spawning runaway goroutines.
-func TestParallelWorkersClamped(t *testing.T) {
-	pm := power.MustNew([]int{5, 10}, 12.5, 3)
-	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
-	tr := tree.MustGenerate(tree.PowerConfig(12), rng.New(82))
-	s, err := SolvePower(PowerProblem{Tree: tr, Power: pm, Cost: cm, Workers: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.MinPower() == nil {
-		t.Fatal("no solution")
-	}
-}
-
-// TestParallelPowerWideStar forces the parallel path on the star
-// topology, whose single giant merge is the best case for chunking.
+// TestParallelPowerWideStar runs SetWorkers(8) on the star topology,
+// whose single wave of leaves is the widest dispatch a tree can offer,
+// with pre-existing servers among the leaves.
 func TestParallelPowerWideStar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wide star comparison is slow")
@@ -149,24 +99,6 @@ func TestParallelPowerWideStar(t *testing.T) {
 	pm := power.MustNew([]int{5, 10}, 12.5, 3)
 	cm := cost.UniformModal(2, 0.1, 0.01, 0.001)
 	ex, _ := tree.RandomReplicas(tr, 4, 2, src)
-	seq, err := SolvePower(PowerProblem{Tree: tr, Existing: ex, Power: pm, Cost: cm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parl, err := SolvePower(PowerProblem{Tree: tr, Existing: ex, Power: pm, Cost: cm, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, fp := seq.Front(), parl.Front()
-	if len(fs) != len(fp) {
-		t.Fatalf("front sizes %d vs %d", len(fs), len(fp))
-	}
-	for i := range fs {
-		if fs[i] != fp[i] {
-			t.Fatalf("front point %d differs", i)
-		}
-		if !seq.At(i).Placement.Equal(parl.At(i).Placement) {
-			t.Fatalf("placement %d differs", i)
-		}
-	}
+	p := PowerProblem{Tree: tr, Existing: ex, Power: pm, Cost: cm}
+	frontsEqual(t, "wide star", solvePowerWorkers(t, p, 1), solvePowerWorkers(t, p, 8))
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 
-	"replicatree/internal/par"
 	"replicatree/internal/power"
 	"replicatree/internal/tree"
 )
@@ -33,22 +32,22 @@ import (
 // instead of the former O(M²) loop. The prefix sums are folded left to
 // right skipping zero coordinates, which makes every cell's price a
 // pure function of its coordinates — bit-identical whether the walk
-// entered the cell from the previous one or started cold at a shard
-// boundary, so fronts match exactly for every worker count.
+// entered the cell from the previous one or started cold at a block
+// boundary.
 //
-// The scan is sharded into fixed-size blocks of cells fanned across the
-// solver's workers. Each block keeps a retained, exactly-pruned local
-// Pareto front; the final front is the eps-aware prune of the
-// concatenated block fronts, which equals the prune of the full
-// candidate list because weak domination is transitive (a locally
-// dominated candidate is dominated in the union too). Because a block
-// front is a pure function of the block's cell values and the pricing
-// context, re-solves diff each block of the recomputed root table
-// against the previous solve's copy and reuse the retained front of
-// every unchanged block — SolveStats.RootCellsRepriced counts the cells
-// of the blocks that actually re-priced. When nothing relevant changed
-// at all (clean tables, same cost and power models, same pre-existing
-// context) the scan is skipped outright and the previous front stands.
+// The scan is sharded into fixed-size blocks of cells. Each block keeps
+// a retained, exactly-pruned local Pareto front; the final front is the
+// eps-aware prune of the concatenated block fronts, which equals the
+// prune of the full candidate list because weak domination is
+// transitive (a locally dominated candidate is dominated in the union
+// too). Because a block front is a pure function of the block's cell
+// values and the pricing context, re-solves diff each block of the
+// recomputed root table against the previous solve's copy and reuse the
+// retained front of every unchanged block — SolveStats.RootCellsRepriced
+// counts the cells of the blocks that actually re-priced. When nothing
+// relevant changed at all (clean tables, same cost and power models,
+// same pre-existing context) the scan is skipped outright and the
+// previous front stands.
 
 // rootBlockCells is the shard granularity of the root scan. Small
 // enough that localized table changes leave most blocks untouched,
@@ -66,7 +65,7 @@ type rootStep struct {
 }
 
 // rootBlock is one shard of the root scan: a retained local Pareto
-// front plus the walker scratch of the goroutine that scans it.
+// front plus the walker scratch that scans it.
 type rootBlock struct {
 	front    []frontEntry
 	repriced bool
@@ -97,7 +96,7 @@ func (d *PowerDP) runRoot() error {
 	j := t.Root()
 	kids := t.Children(j)
 	K := len(kids)
-	d.rootRetained = 0
+	d.st.RootMergeRetained = 0
 	ar := &d.arenas[0]
 	ar.reset()
 
@@ -107,29 +106,13 @@ func (d *PowerDP) runRoot() error {
 		}
 		d.recomputed++
 		d.rootRecomputed = true
-		accDims := ar.alloc(d.nf)
-		for f := range accDims {
-			accDims[f] = 1
-		}
-		accShape, err := fillShape(accDims, ar.alloc(d.nf))
-		if err != nil {
-			return err
-		}
-		d.vals[j] = grown(d.vals[j], 1)
-		d.vals[j][0] = int32(t.ClientSum(j))
-		d.retainShape(j, accShape)
-		d.newCnt[j] = 0
-		d.preCnt[j] = grown(d.preCnt[j], d.M)
-		for i := range d.preCnt[j] {
-			d.preCnt[j][i] = 0
-		}
-		return nil
+		return d.solveNode(j, 0)
 	}
 
 	// Record which subtrees changed this solve; the counts drive the
 	// fold order picked by the next Reset.
 	for st, ch := range kids {
-		if d.track.dirty[ch] || d.lastMode[ch] != d.prob.Existing.Mode(ch) {
+		if d.childStale(ch) {
 			d.volCount[st]++
 		}
 	}
@@ -137,23 +120,13 @@ func (d *PowerDP) runRoot() error {
 	// First fold step whose retained output is stale: a change to the
 	// root's own clients rewrites the base cell (step 0), and a dirty
 	// child subtree or a changed pre-existing mode of a child
-	// invalidates its own step and everything after it.
-	start := 0
-	if !d.fullSolve && t.DemandGen(j) == d.track.seen[j] {
-		start = K
-		for q := 0; q < K; q++ {
-			ch := kids[d.foldPos(q)]
-			if d.track.dirty[ch] || d.lastMode[ch] != d.prob.Existing.Mode(ch) {
-				start = q
-				break
-			}
-		}
-	}
-	if start >= K {
-		d.rootRetained = K
+	// invalidates its own step and everything after it. Every partial
+	// root merge is retained, so any step can restart the fold.
+	start := d.foldStart(j, K, true, func(q int) bool { return d.childStale(kids[d.foldPos(q)]) }, nil)
+	d.st.RootMergeRetained = start
+	if start == K {
 		return nil // every retained root merge is still exact
 	}
-	d.rootRetained = start
 	if start > 0 {
 		d.mstats[0].replayed += K - start
 	}
@@ -171,15 +144,7 @@ func (d *PowerDP) runRoot() error {
 		for i := range accPre {
 			accPre[i] = 0
 		}
-		accDims := ar.alloc(d.nf)
-		for f := range accDims {
-			accDims[f] = 1
-		}
-		var err error
-		accShape, err = fillShape(accDims, ar.alloc(d.nf))
-		if err != nil {
-			return err
-		}
+		accShape = d.unitShape(ar)
 	} else {
 		rs := &d.rootSteps[start-1]
 		acc, accShape, accNew = rs.out, rs.shape, rs.accNew
@@ -207,7 +172,7 @@ func (d *PowerDP) runRoot() error {
 			rs.out = grown(rs.out, outShape.size)
 			out = rs.out
 		}
-		d.mergeInto(j, st, ch, acc, accShape, outShape, out, ar, true, &d.bps[0], &d.mstats[0])
+		d.mergeInto(j, st, ch, acc, accShape, outShape, out, ar, &d.bps[0], &d.mstats[0])
 		if q < K-1 {
 			// Retain this partial merge for future restarts.
 			rs := &d.rootSteps[q]
@@ -280,7 +245,7 @@ func (d *PowerDP) scanRoot() error {
 		rootMode0 == d.scanMode0 && slices.Equal(d.totalPre, d.scanPre)
 	if sameContext && !d.rootRecomputed {
 		// Clean tables, identical pricing: the previous front stands.
-		d.rootScanned, d.rootRepriced = 0, 0
+		d.st.RootCellsScanned, d.st.RootCellsRepriced = 0, 0
 		return nil
 	}
 
@@ -296,21 +261,11 @@ func (d *PowerDP) scanRoot() error {
 	nb := (sh.size + rootBlockCells - 1) / rootBlockCells
 	d.blocks = grownKeep(d.blocks, nb)
 	blocks := d.blocks[:nb]
-	if d.workers > 1 && nb > 1 {
-		if !par.ForEachCancel(nb, d.workers, d.cancel.done, func(bi int) {
-			d.scanOneBlock(bi, vals, sh, rootMode0, canDiff)
-		}) {
-			return d.cancel.ctx.Err()
+	for bi := 0; bi < nb; bi++ {
+		if err := d.cancel.err(); err != nil {
+			return err
 		}
-	} else {
-		// The sequential path avoids the fan-out closure so warm solves
-		// stay allocation-free.
-		for bi := 0; bi < nb; bi++ {
-			if err := d.cancel.err(); err != nil {
-				return err
-			}
-			d.scanOneBlock(bi, vals, sh, rootMode0, canDiff)
-		}
+		d.scanOneBlock(bi, vals, sh, rootMode0, canDiff)
 	}
 
 	repriced := 0
@@ -323,7 +278,7 @@ func (d *PowerDP) scanRoot() error {
 	}
 	d.cands = cands
 	d.paretoPrune()
-	d.rootScanned, d.rootRepriced = sh.size, repriced
+	d.st.RootCellsScanned, d.st.RootCellsRepriced = sh.size, repriced
 
 	// Retain the scanned table and its pricing context for the next
 	// solve's diff.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"replicatree/internal/tree"
@@ -84,7 +83,7 @@ func MinReplicasQoS(t *tree.Tree, W int, c *tree.Constraints) (*tree.Replicas, e
 //
 // A solver is not safe for concurrent use; run one per goroutine.
 type QoSSolver struct {
-	t             *tree.Tree
+	solverCore[int]
 	eng           *tree.Engine
 	unconstrained *tree.Constraints
 
@@ -99,35 +98,18 @@ type QoSSolver struct {
 	choices [][]uint8
 	splits  [][]int
 
-	// Knapsack-merge intermediates, one arena per worker, recycled per
-	// node (intermediates never outlive the node whose merges produced
-	// them, so each arena sizes to the largest single node).
-	arenas []arena[int]
-
-	// Wave-parallel scheduler (see SetWorkers and waveSched).
-	wave waveSched
-
-	// Compressed-merge scratch and merge-layer counters, one per
-	// worker like the arenas, plus the per-child compressed fold-step
-	// snapshots (indexed by the CHILD's id, like splits).
-	bps    []bpScratch
-	mstats []mergeStats
+	// Per-child compressed fold-step snapshots (indexed by the CHILD's
+	// id, like splits).
 	qsteps []qStep
 
 	// Incremental bookkeeping.
-	track      dirtyTracker
-	lastW      int
-	lastC      *tree.Constraints
-	lastCGen   uint64
-	recomputed int
-
-	// Cooperative cancellation (see SetContext and cancelGate).
-	cancel cancelGate
+	lastW    int
+	lastC    *tree.Constraints
+	lastCGen uint64
 
 	// Per solve:
-	w         int
-	c         *tree.Constraints
-	fullSolve bool
+	w int
+	c *tree.Constraints
 }
 
 // qStep is the retained snapshot of one compressed knapsack fold step
@@ -148,27 +130,10 @@ type qStep struct {
 
 // NewQoSSolver returns a reusable constrained-counting solver for t.
 func NewQoSSolver(t *tree.Tree) *QoSSolver {
-	s := &QoSSolver{
-		arenas: make([]arena[int], 1),
-		bps:    make([]bpScratch, 1),
-		mstats: make([]mergeStats, 1),
-	}
-	s.wave.workers = 1
+	s := &QoSSolver{}
+	s.init(s)
 	s.Reset(t)
 	return s
-}
-
-// SetWorkers sets the number of workers for the bottom-up pass
-// (workers <= 0 selects runtime.GOMAXPROCS(0); 1, the default, runs
-// sequentially without goroutines). Results are bit-identical for
-// every worker count; see waveSched and MinCostSolver.SetWorkers.
-func (s *QoSSolver) SetWorkers(workers int) {
-	n := s.wave.setWorkers(workers, func(w, i int) {
-		s.solveNode(s.wave.dirtyIdx[i], w)
-	})
-	s.arenas = grownKeep(s.arenas, n)[:n]
-	s.bps = grownKeep(s.bps, n)[:n]
-	s.mstats = grownKeep(s.mstats, n)[:n]
 }
 
 // Reset rebinds the solver to tree t, keeping every retained buffer as
@@ -177,7 +142,7 @@ func (s *QoSSolver) SetWorkers(workers int) {
 // after a Reset recomputes every table.
 func (s *QoSSolver) Reset(t *tree.Tree) {
 	n := t.N()
-	s.t = t
+	s.bind(t)
 	if s.eng == nil {
 		s.eng = tree.NewEngine(t)
 	} else {
@@ -194,31 +159,6 @@ func (s *QoSSolver) Reset(t *tree.Tree) {
 	s.splits = grownKeep(s.splits, n)
 	s.qsteps = grownKeep(s.qsteps, n)
 	s.lastC = nil
-	s.track.bind(n)
-}
-
-// Invalidate discards the validity of every cached subtree table,
-// forcing the next solve to recompute the whole tree. Demand edits
-// through SetDemand/SetClientRequests and constraint edits through the
-// Constraints setters are detected automatically and do not need it.
-func (s *QoSSolver) Invalidate() { s.track.invalidate() }
-
-// SetContext installs a context consulted by every following Solve at
-// coarse checkpoints (between height waves on the parallel path, every
-// cancelStride node tables on the sequential one). A cancelled context
-// aborts the in-flight solve within one checkpoint with nothing
-// committed; the solver stays repairable exactly as after a solve
-// error. A nil context — the default — disables the checkpoints.
-func (s *QoSSolver) SetContext(ctx context.Context) { s.cancel.set(ctx) }
-
-// Stats profiles the most recent completed solve: how many of the
-// tree's node tables it actually recomputed.
-func (s *QoSSolver) Stats() SolveStats {
-	st := SolveStats{Nodes: s.t.N(), Recomputed: s.recomputed}
-	for i := range s.mstats {
-		s.mstats[i].addTo(&st)
-	}
-	return st
 }
 
 // Solve runs the dynamic program for capacity W under constraints c
@@ -254,7 +194,7 @@ func (s *QoSSolver) Solve(W int, c *tree.Constraints, dst *tree.Replicas) (*tree
 	s.track.mark(t, s.fullSolve)
 	s.track.propagate(t)
 
-	if err := s.run(); err != nil {
+	if err := s.pass(cancelStride, false); err != nil {
 		// Cancelled between checkpoints: nothing was committed, so the
 		// next solve re-dirties and recomputes a superset of the
 		// interrupted work (see cancel.go).
@@ -290,45 +230,9 @@ func (s *QoSSolver) Solve(W int, c *tree.Constraints, dst *tree.Replicas) (*tree
 // live in 0..max(depth(j)-1, 0).
 func (s *QoSSolver) tabRows(j int) int { return max(s.t.Depth(j)-1, 0) + 1 }
 
-func (s *QoSSolver) run() error {
-	for i := range s.mstats {
-		s.mstats[i] = mergeStats{}
-	}
-	var runErr error
-	if s.wave.workers > 1 {
-		var ok bool
-		s.recomputed, ok = s.wave.run(s.t, s.track.dirty, s.t.Waves(), s.cancel.done)
-		if !ok {
-			runErr = s.cancel.ctx.Err()
-		}
-	} else {
-		s.recomputed = 0
-		for _, j := range s.t.PostOrder() {
-			if !s.track.dirty[j] {
-				continue
-			}
-			if s.recomputed%cancelStride == 0 {
-				if err := s.cancel.err(); err != nil {
-					runErr = err
-					break
-				}
-			}
-			s.recomputed++
-			s.solveNode(j, 0)
-		}
-	}
-	// Flush the growth owed to each arena's last node into this solve
-	// (see MinCostSolver.run): a deferred reset would surface as a
-	// one-off allocation in a later solve's timed region.
-	for i := range s.arenas {
-		s.arenas[i].reset()
-	}
-	return runErr
-}
-
 // solveNode rebuilds node j's table from its children's, carving
 // knapsack-merge intermediates out of worker w's arena.
-func (s *QoSSolver) solveNode(j, w int) {
+func (s *QoSSolver) solveNode(j, w int) error {
 	ar, sc, ms := &s.arenas[w], &s.bps[w], &s.mstats[w]
 	t := s.t
 	ar.reset()
@@ -344,19 +248,8 @@ func (s *QoSSolver) solveNode(j, w int) {
 	// the restart predecessor to have run compressed — dense steps
 	// keep no snapshot — and any input change to a prefix step dirties
 	// its child, which moves the restart before the change.
-	start := 0
-	if !s.fullSolve && len(kids) > 0 {
-		start = len(kids)
-		for st, ch := range kids {
-			if s.track.dirty[ch] {
-				start = st
-				break
-			}
-		}
-		if start > 0 && !s.qsteps[kids[start-1]].comp {
-			start = 0
-		}
-	}
+	start := s.foldStart(j, len(kids), false, func(q int) bool { return s.track.dirty[kids[q]] },
+		func(q int) bool { return s.qsteps[kids[q]].comp })
 
 	// Knapsack merge of the children: acc cell (r, L) is the
 	// minimal sum of child flows using r replicas below, every
@@ -377,7 +270,7 @@ func (s *QoSSolver) solveNode(j, w int) {
 		prev := &s.qsteps[kids[start-1]]
 		acc = ar.alloc((sz + 1) * accRows)
 		for L := 0; L < accRows; L++ {
-			decodeRunsIntStrided(prev.outRuns[prev.outOff[L]:prev.outOff[L+1]],
+			decodeRuns(prev.outRuns[prev.outOff[L]:prev.outOff[L+1]],
 				acc[L:], sz+1, accRows, qInf)
 		}
 		ms.replayed += len(kids) - start
@@ -475,6 +368,7 @@ func (s *QoSSolver) solveNode(j, w int) {
 			ch[o] = qEscape
 		}
 	}
+	return nil
 }
 
 // mergeColumns runs one knapsack fold step on breakpoints: every
@@ -491,7 +385,7 @@ func (s *QoSSolver) mergeColumns(step *qStep, acc, ctab, next []int, sz, csz, ac
 	inRuns := step.inRuns[:0]
 	for L := 0; L < accRows; L++ {
 		step.inOff[L] = int32(len(inRuns))
-		runs, ok := encodeRunsIntStrided(acc[L:], sz+1, accRows, qInf, sc.tmp)
+		runs, ok := encodeRuns(acc[L:], sz+1, accRows, qInf, sc.tmp)
 		sc.tmp = runs
 		if !ok {
 			step.inRuns = inRuns
@@ -506,7 +400,7 @@ func (s *QoSSolver) mergeColumns(step *qStep, acc, ctab, next []int, sz, csz, ac
 	colRuns := sc.colRuns[:0]
 	for L := 0; L < accRows; L++ {
 		sc.cols[L] = int32(len(colRuns))
-		runs, ok := encodeRunsIntStrided(ctab[L:], csz+1, accRows, qInf, sc.tmp)
+		runs, ok := encodeRuns(ctab[L:], csz+1, accRows, qInf, sc.tmp)
 		sc.tmp = runs
 		if !ok {
 			sc.colRuns = colRuns
@@ -536,7 +430,7 @@ func (s *QoSSolver) mergeColumns(step *qStep, acc, ctab, next []int, sz, csz, ac
 		}
 		ms.cells += len(aR) + len(cR) + len(res)
 		outRuns = append(outRuns, res...)
-		decodeRunsIntStrided(res, next[L:], sz+csz+1, accRows, qInf)
+		decodeRuns(res, next[L:], sz+csz+1, accRows, qInf)
 	}
 	step.outOff[accRows] = int32(len(outRuns))
 	step.outRuns = outRuns
@@ -562,7 +456,7 @@ func (s *QoSSolver) lazySplit(child, rp, L, accRows, pre int) int {
 	ctab := s.tabs[child]
 	csz := s.size[child]
 	bw := s.c.Bandwidth(child)
-	cFirst := firstFeasibleStrided(ctab, L, csz, accRows)
+	cFirst := firstFeasible(ctab[L:], csz+1, accRows, qInf)
 	for p := range inR {
 		rs, va := inR[p].start, inR[p].val
 		if va > v {
@@ -576,7 +470,7 @@ func (s *QoSSolver) lazySplit(child, rp, L, accRows, pre int) int {
 		if bw >= 0 && cvT > int64(bw) {
 			continue // the dense kernel drops over-bandwidth flows
 		}
-		cl, cr, ok := valueRunStrided(ctab, L, cFirst, int32(csz), accRows, cvT)
+		cl, cr, ok := valueRun(ctab[L:], accRows, cFirst, int32(csz), cvT)
 		if !ok {
 			continue
 		}
@@ -585,50 +479,6 @@ func (s *QoSSolver) lazySplit(child, rp, L, accRows, pre int) int {
 		}
 	}
 	panic(fmt.Sprintf("core: no split for cell (%d,%d) at child %d", rp, L, child))
-}
-
-// firstFeasibleStrided returns the first replica count whose cell in
-// column L of a monotone strided block is feasible (csz+1 when none).
-func firstFeasibleStrided(tab []int, L, csz, stride int) int32 {
-	lo, hi := int32(0), int32(csz+1)
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if tab[int(mid)*stride+L] >= qInf {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// valueRunStrided locates the replica-count interval [cl, cr] of
-// column L holding exactly value v, searching the feasible region
-// [first, last] of the monotone strided block.
-func valueRunStrided(tab []int, L int, first, last int32, stride int, v int64) (cl, cr int32, ok bool) {
-	lo, hi := first, last+1
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if int64(tab[int(mid)*stride+L]) <= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo > last || int64(tab[int(lo)*stride+L]) != v {
-		return 0, 0, false
-	}
-	cl = lo
-	hi = last + 1
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if int64(tab[int(mid)*stride+L]) < v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return cl, lo - 1, true
 }
 
 // build reconstructs the placement behind tab cell (r, L) of node j

@@ -16,12 +16,9 @@ type shape struct {
 	size    int
 }
 
-func newShape(dims []int32) (shape, error) {
-	return fillShape(dims, make([]int32, len(dims)))
-}
-
-// fillShape is newShape with caller-provided stride storage, so arena
-// allocators can build shapes without a heap allocation.
+// fillShape builds the shape of a table with the given dims, writing the
+// strides into caller-provided storage so arena allocators can build
+// shapes without a heap allocation.
 func fillShape(dims, strides []int32) (shape, error) {
 	s := shape{dims: dims, strides: strides}
 	size := int64(1)
@@ -50,37 +47,12 @@ type odometer struct {
 	out    int32 // sum over fields of coords[f]*ostr[f]
 }
 
-func newOdometer(dims, outStrides []int32) *odometer {
-	return &odometer{dims: dims, ostr: outStrides, coords: make([]int32, len(dims))}
-}
-
 // init readies a caller-owned odometer with caller-provided coordinate
-// storage (zeroed here), avoiding the heap allocations of newOdometer in
-// arena-backed merge loops.
+// storage (zeroed here), so arena-backed merge loops iterate without a
+// heap allocation.
 func (o *odometer) init(dims, outStrides, coords []int32) {
 	o.dims, o.ostr, o.coords = dims, outStrides, coords
 	o.reset()
-}
-
-// odometerAt returns an odometer positioned at the given flat index,
-// enabling parallel workers to scan disjoint table ranges.
-func odometerAt(dims, outStrides []int32, flat int) *odometer {
-	o := newOdometer(dims, outStrides)
-	// Row-major decomposition of flat into coordinates: a field's own
-	// stride is the product of the trailing dimensions.
-	own := make([]int32, len(dims))
-	s := int32(1)
-	for f := len(dims) - 1; f >= 0; f-- {
-		own[f] = s
-		s *= dims[f]
-	}
-	rem := int32(flat)
-	for f := 0; f < len(dims); f++ {
-		o.coords[f] = rem / own[f]
-		rem %= own[f]
-		o.out += o.coords[f] * outStrides[f]
-	}
-	return o
 }
 
 // next advances to the following cell, returning false after the last

@@ -35,7 +35,7 @@ func TestOdometerCoversAllCellsInFlatOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := newOdometer(s.dims, s.strides)
+	o := testOdometer(s.dims, s.strides)
 	for flat := 0; flat < s.size; flat++ {
 		// With ostr = own strides, o.out must equal the flat index.
 		if int(o.out) != flat {
@@ -71,7 +71,7 @@ func TestOdometerCrossSpacePartialIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := newOdometer(small.dims, big.strides)
+	o := testOdometer(small.dims, big.strides)
 	for flat := 0; flat < small.size; flat++ {
 		want := o.coords[0]*big.strides[0] + o.coords[1]*big.strides[1]
 		if o.out != want {
@@ -83,7 +83,7 @@ func TestOdometerCrossSpacePartialIndex(t *testing.T) {
 
 func TestOdometerReset(t *testing.T) {
 	s, _ := newShape([]int32{3, 3})
-	o := newOdometer(s.dims, s.strides)
+	o := testOdometer(s.dims, s.strides)
 	o.next()
 	o.next()
 	o.reset()
@@ -99,7 +99,7 @@ func TestQuickOdometerConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		o := newOdometer(s.dims, s.strides)
+		o := testOdometer(s.dims, s.strides)
 		count := 0
 		for {
 			count++
@@ -115,4 +115,17 @@ func TestQuickOdometerConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// testOdometer returns an odometer over dims projecting into the
+// outStrides space, positioned at the all-zero cell.
+func testOdometer(dims, outStrides []int32) *odometer {
+	o := new(odometer)
+	o.init(dims, outStrides, make([]int32, len(dims)))
+	return o
+}
+
+// newShape is fillShape with freshly allocated stride storage.
+func newShape(dims []int32) (shape, error) {
+	return fillShape(dims, make([]int32, len(dims)))
 }

@@ -87,15 +87,15 @@ func RunScale(cfg ScaleConfig) ([]ScaleRow, error) {
 		src := rng.Derive(cfg.Seed, 102)
 		t := tree.MustGenerate(tree.PowerConfig(cfg.PowerNoPreNodes), src)
 		dp = core.NewPowerDP(t)
+		defer dp.SetWorkers(1) // release the worker pool
 		for _, workers := range []int{1, runtime.NumCPU()} {
+			dp.SetWorkers(workers)
 			// Invalidate between worker runs: the incremental solver
 			// would otherwise skip the whole re-solve of an identical
 			// instance, and the row must time a full solve.
 			dp.Invalidate()
 			start := time.Now()
-			solver, err := dp.Solve(core.PowerProblem{
-				Power: Exp3Power(), Cost: Exp3Cost(), Workers: workers,
-			})
+			solver, err := dp.Solve(core.PowerProblem{Power: Exp3Power(), Cost: Exp3Cost()})
 			if err != nil {
 				return nil, fmt.Errorf("exper: scale power NoPre: %w", err)
 			}
@@ -118,11 +118,10 @@ func RunScale(cfg ScaleConfig) ([]ScaleRow, error) {
 		}
 		dp.Reset(t)
 		for _, workers := range []int{1, runtime.NumCPU()} {
+			dp.SetWorkers(workers)
 			dp.Invalidate() // time a full solve, not the skip path
 			start := time.Now()
-			solver, err := dp.Solve(core.PowerProblem{
-				Existing: existing, Power: Exp3Power(), Cost: Exp3Cost(), Workers: workers,
-			})
+			solver, err := dp.Solve(core.PowerProblem{Existing: existing, Power: Exp3Power(), Cost: Exp3Cost()})
 			if err != nil {
 				return nil, fmt.Errorf("exper: scale power WithPre: %w", err)
 			}

@@ -249,61 +249,6 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p.Close()
 }
 
-func TestForEachCancelCompletesWithOpenChannel(t *testing.T) {
-	done := make(chan struct{})
-	for _, workers := range []int{1, 4} {
-		var count atomic.Int32
-		if !ForEachCancel(100, workers, done, func(i int) { count.Add(1) }) {
-			t.Fatalf("workers=%d: reported early stop with an open channel", workers)
-		}
-		if count.Load() != 100 {
-			t.Fatalf("workers=%d: covered %d indices, want 100", workers, count.Load())
-		}
-	}
-}
-
-func TestForEachCancelNilChannelIsForEach(t *testing.T) {
-	var count atomic.Int32
-	if !ForEachCancel(50, 4, nil, func(i int) { count.Add(1) }) {
-		t.Fatal("nil done channel reported early stop")
-	}
-	if count.Load() != 50 {
-		t.Fatalf("covered %d indices, want 50", count.Load())
-	}
-}
-
-func TestForEachCancelStopsEarly(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		done := make(chan struct{})
-		var count atomic.Int32
-		completed := ForEachCancel(1000, workers, done, func(i int) {
-			if count.Add(1) == 10 {
-				close(done)
-			}
-		})
-		if completed {
-			t.Fatalf("workers=%d: sweep claims completion despite mid-sweep cancel", workers)
-		}
-		// Items already claimed may still finish; the bound is one
-		// in-flight item per worker past the cancellation point.
-		if got := count.Load(); got < 10 || got > 10+int32(workers) {
-			t.Fatalf("workers=%d: ran %d items, want within [10, %d]", workers, got, 10+workers)
-		}
-	}
-}
-
-func TestForEachCancelPreCancelled(t *testing.T) {
-	done := make(chan struct{})
-	close(done)
-	var count atomic.Int32
-	if ForEachCancel(100, 4, done, func(i int) { count.Add(1) }) {
-		t.Fatal("pre-cancelled sweep claims completion")
-	}
-	if count.Load() != 0 {
-		t.Fatalf("pre-cancelled sweep ran %d items, want 0", count.Load())
-	}
-}
-
 func TestPoolRunCancelCompletesWithOpenChannel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPool(workers)

@@ -251,14 +251,14 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# HELP replicaserved_tick Current tick number of the published snapshot.")
 	fmt.Fprintln(w, "# TYPE replicaserved_tick gauge")
 	for _, ss := range sess {
-		if sn := ss.snapshot(); sn != nil {
+		if sn := ss.Snapshot(); sn != nil {
 			fmt.Fprintf(w, "replicaserved_tick{instance=%q} %d\n", ss.id, sn.Tick)
 		}
 	}
 	fmt.Fprintln(w, "# HELP replicaserved_servers Equipped servers of the published placement, by solver.")
 	fmt.Fprintln(w, "# TYPE replicaserved_servers gauge")
 	for _, ss := range sess {
-		if sn := ss.snapshot(); sn != nil {
+		if sn := ss.Snapshot(); sn != nil {
 			fmt.Fprintf(w, "replicaserved_servers{instance=%q,solver=\"mincost\"} %d\n", ss.id, sn.Servers)
 			if sn.Power != nil {
 				fmt.Fprintf(w, "replicaserved_servers{instance=%q,solver=\"power\"} %d\n", ss.id, sn.Power.Servers)
@@ -271,14 +271,14 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# HELP replicaserved_cost Reconfiguration cost of the published placement.")
 	fmt.Fprintln(w, "# TYPE replicaserved_cost gauge")
 	for _, ss := range sess {
-		if sn := ss.snapshot(); sn != nil {
+		if sn := ss.Snapshot(); sn != nil {
 			fmt.Fprintf(w, "replicaserved_cost{instance=%q} %g\n", ss.id, sn.Cost)
 		}
 	}
 	fmt.Fprintln(w, "# HELP replicaserved_power Power draw of the published min-power placement.")
 	fmt.Fprintln(w, "# TYPE replicaserved_power gauge")
 	for _, ss := range sess {
-		if sn := ss.snapshot(); sn != nil && sn.Power != nil {
+		if sn := ss.Snapshot(); sn != nil && sn.Power != nil {
 			fmt.Fprintf(w, "replicaserved_power{instance=%q} %g\n", ss.id, sn.Power.Power)
 		}
 	}

@@ -311,9 +311,6 @@ func (s *Session) hasSolver(si int) bool {
 // whatever the solve loop is doing.
 func (s *Session) Snapshot() *Snapshot { return s.snap.Load() }
 
-// snapshot is the unexported alias the metrics renderer uses.
-func (s *Session) snapshot() *Snapshot { return s.snap.Load() }
-
 // LastErr returns the error string of the most recent failed tick, or
 // "" after a successful one.
 func (s *Session) LastErr() string {
