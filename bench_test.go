@@ -414,6 +414,46 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 
 }
 
+// BenchmarkPowerDenseMerge isolates the dense merge kernel of the
+// with-pre power DP: a warm PowerDP on the Experiment 3 workload
+// (50 nodes, 5 pre-existing servers) re-solving after an edit of the
+// root's own client demand. That edit dirties no subtree, but it
+// rewrites the base cell of the root's child fold, so every iteration
+// re-merges the whole root fold densely (the pre-existing servers keep
+// compression off) — the bulk of the table volume — plus the root
+// re-price. Must report 0 allocs/op (CI zero-alloc gate).
+func BenchmarkPowerDenseMerge(b *testing.B) {
+	src := replicatree.NewRNG(4)
+	t := tree.MustGenerate(tree.PowerConfig(50), src)
+	existing, _ := tree.RandomReplicas(t, 5, 2, src)
+	root := t.Root()
+	if len(t.Clients(root)) == 0 {
+		t.SetClientRequests(root, []int{1})
+	}
+	dp := core.NewPowerDP(t)
+	prob := core.PowerProblem{Existing: existing, Power: exper.Exp3Power(), Cost: exper.Exp3Cost()}
+	for warm := 0; warm < 4; warm++ {
+		t.SetDemand(root, 0, 1+warm%2)
+		if _, err := dp.Solve(prob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t.SetDemand(root, 0, 1+i%2)
+		if _, err := dp.Solve(prob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := dp.Stats()
+	if st.Recomputed != 1 || st.RootMergeRetained != 0 || st.RowsCompressed != 0 {
+		b.Fatalf("not a full dense root fold: %+v", st)
+	}
+	b.ReportMetric(float64(st.MergeCellsScanned), "cells/op")
+}
+
 // BenchmarkRootScanReuse isolates the power DP's delta-priced root
 // scan: a warm PowerDP re-solving under alternating cost models. The
 // cost model invalidates no subtree table, so every iteration pays

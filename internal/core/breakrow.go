@@ -217,6 +217,60 @@ type bpScratch struct {
 	colRuns    []bpRun
 }
 
+// fitBpScratch grows every scratch in scs, buffer by buffer, to the
+// largest capacity any of them holds, keeping each buffer's contents.
+// The single-row buffers trade capacities with one another (the fold
+// ping-pong of res and alt, envMinInto's row/spare swap), so they share
+// one mark; the multi-row buffers keep one mark each.
+func fitBpScratch(scs []bpScratch) {
+	if len(scs) < 2 {
+		return
+	}
+	var row, nRows, accRuns, colRuns, accOff, modeStarts, cols int
+	for i := range scs {
+		sc := &scs[i]
+		for _, b := range sc.rowBufs() {
+			row = max(row, cap(*b))
+		}
+		for _, r := range sc.rows {
+			row = max(row, cap(r))
+		}
+		nRows = max(nRows, len(sc.rows))
+		accRuns, colRuns = max(accRuns, cap(sc.accRuns)), max(colRuns, cap(sc.colRuns))
+		accOff, modeStarts, cols = max(accOff, cap(sc.accOff)), max(modeStarts, cap(sc.modeStarts)), max(cols, cap(sc.cols))
+	}
+	for i := range scs {
+		sc := &scs[i]
+		for _, b := range sc.rowBufs() {
+			growCap(b, row)
+		}
+		sc.rows = grownKeep(sc.rows, nRows)
+		for r := range sc.rows {
+			growCap(&sc.rows[r], row)
+		}
+		growCap(&sc.accRuns, accRuns)
+		growCap(&sc.colRuns, colRuns)
+		growCap(&sc.accOff, accOff)
+		growCap(&sc.modeStarts, modeStarts)
+		growCap(&sc.cols, cols)
+	}
+}
+
+// rowBufs lists the scratch's single-row run buffers.
+func (sc *bpScratch) rowBufs() [6]*[]bpRun {
+	return [6]*[]bpRun{&sc.acc, &sc.ch, &sc.frag, &sc.res, &sc.alt, &sc.tmp}
+}
+
+// growCap raises the capacity of *b to at least n, keeping its length
+// and contents.
+func growCap[T any](b *[]T, n int) {
+	if cap(*b) < n {
+		nb := make([]T, len(*b), n)
+		copy(nb, *b)
+		*b = nb
+	}
+}
+
 // bpConv computes the min-plus convolution of two monotone rows:
 // out[k] = min{a[i]+b[j] : i+j == k, a[i]+b[j] <= maxSum} for
 // k <= maxStart. maxStart must not exceed the natural reach

@@ -352,15 +352,31 @@ func (c *solverCore[A]) pass(stride int, skipRoot bool) error {
 			}
 		}
 	}
-	// A per-node reset grows an arena to the need of the node handled
-	// before it, so the growth owed to each arena's last node would
-	// otherwise be deferred into a later solve's first reset — a one-off
-	// allocation there (all-clean solves never reset, so it can land in
-	// a timed region). Flush it inside this solve instead.
+	c.fitScratch()
+	return err
+}
+
+// fitScratch ends a pass. A per-node reset grows an arena to the need
+// of the node handled before it, so the growth owed to each arena's
+// last node would otherwise be deferred into a later solve's first
+// reset — a one-off allocation there (all-clean solves never reset, so
+// it can land in a timed region). It flushes that growth, then grows
+// every worker's arena and compressed-merge scratch to the pass-wide
+// high-water mark: which worker first meets the widest node depends on
+// scheduling, and without the fit a later pass could hand that node to
+// a worker whose scratch never grew, allocating in steady state.
+func (c *solverCore[A]) fitScratch() {
+	hw := 0
 	for i := range c.arenas {
 		c.arenas[i].reset()
+		hw = max(hw, len(c.arenas[i].buf))
 	}
-	return err
+	for i := range c.arenas {
+		if a := &c.arenas[i]; len(a.buf) < hw {
+			a.buf = make([]A, hw)
+		}
+	}
+	fitBpScratch(c.bps)
 }
 
 // foldStart returns the first step of node j's k-step child fold that

@@ -611,42 +611,88 @@ func (d *PowerDP) mergeInto(j, st, ch int, acc []int32, accShape, outShape shape
 	d.mergeSequential(acc, accShape, chVals, chShape, outShape, out, prov, placeBump, ar)
 }
 
-// mergeSequential is the dense merge: first writer of the minimal value
-// wins, which by scan order is the smallest (accumulated cell, child
-// cell) pair — the same order packProv encodes.
+// mergeSequential is the dense merge. It first compacts the child
+// table into a list of its feasible cells (value <= W_M) in ascending
+// flat order, each with its value, its offset in the output's stride
+// space and the smallest mode whose capacity covers it (M+1 when none
+// does, which places no server). The accumulated × child loop then
+// reads that list: out[a-offset + c-offset] takes the merged load, and
+// out[... + placeBump[m]] a server on the child at every mode m from
+// the minimal one up. An accumulated cell's offset is the sum of two
+// small projected tables (its prefix and its suffix fields), and its
+// provenance bits are packed once per cell, outside the child loop.
+//
+// First writer of the minimal value wins (a strict < update). The outer
+// loops walk the accumulated cells in ascending flat order, and the
+// child list keeps ascending flat order, so (accumulated cell, child
+// cell) pairs are still visited in ascending order — the order
+// packProv encodes — and within a pair the merged load comes before
+// the servers in ascending mode. Every cell therefore keeps the
+// smallest writer that reaches its value, exactly as the full walk
+// over both tables would. Skipping the infeasible cells of either side
+// changes nothing: they never wrote a value.
 func (d *PowerDP) mergeSequential(acc []int32, accShape shape, chVals []int32, chShape shape, outShape shape, out []int32, prov []uint64, placeBump []int32, ar *arena[int32]) {
-	pm := d.prob.Power
-	update := func(idx int32, v int32, p uint64) {
-		if v < out[idx] {
-			out[idx] = v
-			prov[idx] = p
+	pm, wm, M := d.prob.Power, d.wm, int32(d.M)
+
+	// Child side: project every cell, then compact the feasible ones in
+	// place (entry k never overtakes flat index k).
+	n := chShape.size
+	cFlat, cVal, cOff, cMode := ar.alloc(n), ar.alloc(n), ar.alloc(n), ar.alloc(n)
+	projectOffsets(chShape.dims, outShape.strides, cOff)
+	k := 0
+	for flat, cv := range chVals {
+		if cv > wm {
+			continue
+		}
+		mode := M + 1
+		if m, ok := pm.ModeFor(int(cv)); ok {
+			mode = int32(m)
+		}
+		cFlat[k], cVal[k], cOff[k], cMode[k] = int32(flat), cv, cOff[flat], mode
+		k++
+	}
+	cFlat, cVal, cOff, cMode = cFlat[:k], cVal[:k], cOff[:k], cMode[:k]
+
+	// Accumulated side: a cell's offset is its prefix fields' offset plus
+	// its suffix fields' offset. Split at the field boundary that keeps
+	// the two projected tables smallest (trailing fields are often unit
+	// reuse axes, so a fixed split could cost a whole table's worth).
+	split, inner := 0, accShape.size
+	for f, lo := 0, accShape.size; f < len(accShape.dims); f++ {
+		lo /= int(accShape.dims[f])
+		if lo+accShape.size/lo < inner+accShape.size/inner {
+			split, inner = f+1, lo
 		}
 	}
-	var ao, co odometer
-	ao.init(accShape.dims, outShape.strides, ar.alloc(len(accShape.dims)))
-	co.init(chShape.dims, outShape.strides, ar.alloc(len(chShape.dims)))
-	for aFlat := 0; aFlat < accShape.size; aFlat++ {
-		a := acc[aFlat]
-		if a <= d.wm {
-			co.reset()
-			for cFlat := 0; cFlat < chShape.size; cFlat++ {
-				cv := chVals[cFlat]
-				if cv <= d.wm {
-					base := ao.out + co.out
-					if a+cv <= d.wm {
-						update(base, a+cv, packProv(aFlat, cFlat, 0))
-					}
-					minMode, ok := pm.ModeFor(int(cv))
-					if ok {
-						for m := minMode; m <= d.M; m++ {
-							update(base+placeBump[m], a, packProv(aFlat, cFlat, uint8(m)))
-						}
+	hiOff, loOff := ar.alloc(accShape.size/inner), ar.alloc(inner)
+	projectOffsets(accShape.dims[:split], outShape.strides[:split], hiOff)
+	projectOffsets(accShape.dims[split:], outShape.strides[split:], loOff)
+
+	for r, hb := range hiOff {
+		for c, lb := range loOff {
+			aFlat := r*inner + c
+			a := acc[aFlat]
+			if a > wm {
+				continue
+			}
+			aBase := hb + lb
+			aProv := uint64(aFlat) << 35
+			room := wm - a
+			for q, cv := range cVal {
+				idx := aBase + cOff[q]
+				p := aProv | uint64(cFlat[q])<<8
+				if cv <= room && a+cv < out[idx] {
+					out[idx] = a + cv
+					prov[idx] = p
+				}
+				for m := cMode[q]; m <= M; m++ {
+					if o := idx + placeBump[m]; a < out[o] {
+						out[o] = a
+						prov[o] = p | uint64(m)
 					}
 				}
-				co.next()
 			}
 		}
-		ao.next()
 	}
 }
 

@@ -36,44 +36,26 @@ func fillShape(dims, strides []int32) (shape, error) {
 	return s, nil
 }
 
-// odometer iterates the cells of a table in flat (row-major) order while
-// maintaining the cell's coordinates and the corresponding partial index
-// in another table's stride space. This lets merge loops add two cells'
-// output positions without per-cell multiplication.
-type odometer struct {
-	dims   []int32
-	ostr   []int32 // stride of each field in the output space
-	coords []int32
-	out    int32 // sum over fields of coords[f]*ostr[f]
-}
-
-// init readies a caller-owned odometer with caller-provided coordinate
-// storage (zeroed here), so arena-backed merge loops iterate without a
-// heap allocation.
-func (o *odometer) init(dims, outStrides, coords []int32) {
-	o.dims, o.ostr, o.coords = dims, outStrides, coords
-	o.reset()
-}
-
-// next advances to the following cell, returning false after the last
-// cell wraps around to all-zero coordinates.
-func (o *odometer) next() bool {
-	for f := len(o.dims) - 1; f >= 0; f-- {
-		o.coords[f]++
-		o.out += o.ostr[f]
-		if o.coords[f] < o.dims[f] {
-			return true
+// projectOffsets writes into dst (length the product of dims) the
+// position of every cell of a row-major table with the given dims in
+// another table's stride space: dst[flat] = Σ_f coords_f(flat)·ostr[f].
+// It expands one field at a time, back to front within dst, so each
+// entry costs one add and no division. Merge kernels precompute these
+// offsets once per merge instead of re-deriving them per cell pair.
+func projectOffsets(dims, ostr, dst []int32) {
+	dst[0] = 0
+	n := 1
+	for f, d := range dims {
+		s := ostr[f]
+		for i := n - 1; i >= 0; i-- {
+			// Entries below i are still the shorter prefix's offsets:
+			// every write here lands at i*d or later, which is >= i.
+			base := dst[i]
+			row := dst[i*int(d) : (i+1)*int(d)]
+			for c := range row {
+				row[c] = base + int32(c)*s
+			}
 		}
-		o.coords[f] = 0
-		o.out -= o.dims[f] * o.ostr[f]
+		n *= int(d)
 	}
-	return false
-}
-
-// reset returns the odometer to the all-zero cell.
-func (o *odometer) reset() {
-	for f := range o.coords {
-		o.coords[f] = 0
-	}
-	o.out = 0
 }

@@ -30,40 +30,25 @@ func TestNewShapeErrors(t *testing.T) {
 	}
 }
 
-func TestOdometerCoversAllCellsInFlatOrder(t *testing.T) {
+func TestProjectOffsetsOwnStridesAreFlatIndices(t *testing.T) {
 	s, err := newShape([]int32{2, 3, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := testOdometer(s.dims, s.strides)
-	for flat := 0; flat < s.size; flat++ {
-		// With ostr = own strides, o.out must equal the flat index.
-		if int(o.out) != flat {
-			t.Fatalf("cell %d: out = %d", flat, o.out)
+	off := make([]int32, s.size)
+	projectOffsets(s.dims, s.strides, off)
+	for flat, o := range off {
+		if int(o) != flat {
+			t.Fatalf("cell %d: offset %d", flat, o)
 		}
-		idx := int32(0)
-		for f := range o.coords {
-			idx += o.coords[f] * s.strides[f]
-		}
-		if idx != o.out {
-			t.Fatalf("cell %d: coords %v inconsistent", flat, o.coords)
-		}
-		advanced := o.next()
-		if advanced != (flat != s.size-1) {
-			t.Fatalf("cell %d: next = %v", flat, advanced)
-		}
-	}
-	// After wrap-around the odometer is back at zero.
-	if o.out != 0 {
-		t.Fatalf("out after wrap = %d", o.out)
 	}
 }
 
-func TestOdometerCrossSpacePartialIndex(t *testing.T) {
-	// Iterating a small table while projecting into a larger table's
-	// stride space: the partial index must equal the dot product of the
-	// coordinates with the output strides.
-	small, err := newShape([]int32{2, 2})
+func TestProjectOffsetsCrossSpace(t *testing.T) {
+	// Projecting a small table into a larger table's stride space: each
+	// offset must equal the dot product of the cell's coordinates with
+	// the output strides.
+	small, err := newShape([]int32{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,58 +56,54 @@ func TestOdometerCrossSpacePartialIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := testOdometer(small.dims, big.strides)
-	for flat := 0; flat < small.size; flat++ {
-		want := o.coords[0]*big.strides[0] + o.coords[1]*big.strides[1]
-		if o.out != want {
-			t.Fatalf("cell %d: out = %d, want %d", flat, o.out, want)
+	off := make([]int32, small.size)
+	projectOffsets(small.dims, big.strides, off)
+	for flat, o := range off {
+		if want := projectByDivision(small, big.strides, flat); o != want {
+			t.Fatalf("cell %d: offset %d, want %d", flat, o, want)
 		}
-		o.next()
 	}
 }
 
-func TestOdometerReset(t *testing.T) {
-	s, _ := newShape([]int32{3, 3})
-	o := testOdometer(s.dims, s.strides)
-	o.next()
-	o.next()
-	o.reset()
-	if o.out != 0 || o.coords[0] != 0 || o.coords[1] != 0 {
-		t.Fatalf("reset state: out=%d coords=%v", o.out, o.coords)
-	}
-}
-
-func TestQuickOdometerConsistency(t *testing.T) {
-	f := func(d1, d2, d3 uint8) bool {
-		dims := []int32{1 + int32(d1%5), 1 + int32(d2%5), 1 + int32(d3%5)}
+func TestQuickProjectOffsets(t *testing.T) {
+	f := func(d1, d2, d3, d4 uint8) bool {
+		dims := []int32{1 + int32(d1%4), 1 + int32(d2%4), 1 + int32(d3%4), 1 + int32(d4%4)}
 		s, err := newShape(dims)
 		if err != nil {
 			return false
 		}
-		o := testOdometer(s.dims, s.strides)
-		count := 0
-		for {
-			count++
-			if int(o.out) != count-1 {
+		// Output space: every field one wider than the input's.
+		wide := make([]int32, len(dims))
+		for f := range dims {
+			wide[f] = dims[f] + 1
+		}
+		o, err := newShape(wide)
+		if err != nil {
+			return false
+		}
+		off := make([]int32, s.size)
+		projectOffsets(s.dims, o.strides, off)
+		for flat, got := range off {
+			if got != projectByDivision(s, o.strides, flat) {
 				return false
 			}
-			if !o.next() {
-				break
-			}
 		}
-		return count == s.size
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// testOdometer returns an odometer over dims projecting into the
-// outStrides space, positioned at the all-zero cell.
-func testOdometer(dims, outStrides []int32) *odometer {
-	o := new(odometer)
-	o.init(dims, outStrides, make([]int32, len(dims)))
-	return o
+// projectByDivision is the reference for projectOffsets: it decomposes
+// flat into coordinates by division and dots them with ostr.
+func projectByDivision(s shape, ostr []int32, flat int) int32 {
+	rem, out := int32(flat), int32(0)
+	for f := range s.dims {
+		out += rem / s.strides[f] * ostr[f]
+		rem %= s.strides[f]
+	}
+	return out
 }
 
 // newShape is fillShape with freshly allocated stride storage.
