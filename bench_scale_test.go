@@ -188,6 +188,40 @@ func BenchmarkCompressedMergeSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkQoSCompressedMergeSteadyState is the QoS counterpart of
+// BenchmarkCompressedMergeSteadyState: sequential cold re-solves of the
+// constrained-counting DP on the 10^4-node scale tree under a uniform
+// 6-hop QoS bound, whose wide knapsack merges near the root fold every
+// requirement column on breakpoint rows (the benchmark fails if they
+// did not engage). It covers the int instantiation of the fold step the
+// MinCost benchmark runs at int32, and the CI zero-alloc gate holds it
+// to 0 allocs/op too.
+func BenchmarkQoSCompressedMergeSteadyState(b *testing.B) {
+	t := scaleTree(b, 10_000)
+	cons := tree.NewConstraints(t)
+	cons.SetUniformQoS(t, 6)
+	solver := core.NewQoSSolver(t)
+	dst := tree.ReplicasOf(t)
+	for warm := 0; warm < 2; warm++ {
+		solver.Invalidate()
+		if _, err := solver.Solve(scaleW, cons, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		solver.Invalidate()
+		if _, err := solver.Solve(scaleW, cons, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if solver.Stats().RowsCompressed == 0 {
+		b.Fatal("the compressed merge kernel never engaged")
+	}
+}
+
 // BenchmarkParallelDPSteadyState is the wave-parallel counterpart of
 // BenchmarkMinCostSolverReuse: full table rebuilds through a solver
 // whose bottom-up pass fans across a persistent worker pool. Steady

@@ -3,7 +3,7 @@ package core
 // This file implements the breakpoint-compressed representation of
 // monotone DP rows and the row algebra the solvers' merge kernels run
 // on: encode/decode, pointwise minimum, min-plus convolution, and the
-// place-aware fold step of the replica merges.
+// budget-axis fold step that the MinCost and QoS merges share.
 //
 // The monotone-row contract. A DP row v(0..n-1) is monotone when
 //
@@ -30,7 +30,10 @@ package core
 // construction, which is what makes folds over compressed rows exact
 // without re-verification.
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // bpRun is one breakpoint of a compressed monotone row: the row holds
 // val from cell start up to the next run's start (or the row end).
@@ -102,13 +105,14 @@ func decodeRuns[T int32 | int](runs []bpRun, row []T, n, stride int, inval T) {
 }
 
 // firstFeasible returns the index of the first feasible cell of a
-// monotone row of n cells at the given stride (n when the whole row is
-// infeasible).
-func firstFeasible[T int32 | int](row []T, n, stride int, inval T) int32 {
+// monotone row of n cells at the given stride whose value is at most
+// limit (n when there is none). Values only fall past the infeasible
+// prefix, so the cells over the limit precede the others.
+func firstFeasible[T int32 | int](row []T, n, stride int, inval T, limit int64) int32 {
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if row[mid*stride] == inval {
+		if x := row[mid*stride]; x == inval || int64(x) > limit {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -205,16 +209,14 @@ func envMin(a, b, dst []bpRun) []bpRun {
 // reused across merges, never shrunk, so steady-state solves stay
 // allocation-free once grown to the high-water mark.
 type bpScratch struct {
-	acc, ch    []bpRun   // encoded input rows
+	ch         []bpRun   // shifted acc row (PowerDP)
 	frag       []bpRun   // per-run candidate fragment
 	res, alt   []bpRun   // fold ping-pong buffers
 	tmp        []bpRun   // envMin destination for row accumulation
 	rows       [][]bpRun // per-output-row accumulated runs (PowerDP)
-	accOff     []int32   // per-row offsets into accRuns (PowerDP/QoS)
-	accRuns    []bpRun
-	modeStarts []int32 // per (child row, mode) staircase starts (PowerDP)
-	cols       []int32 // per-column offsets (QoS)
-	colRuns    []bpRun
+	modeStarts []int32   // per (child row, mode) staircase starts (PowerDP)
+	cols       []int32   // per-column offsets into colRuns
+	colRuns    []bpRun   // encoded child columns
 }
 
 // fitBpScratch grows every scratch in scs, buffer by buffer, to the
@@ -226,7 +228,7 @@ func fitBpScratch(scs []bpScratch) {
 	if len(scs) < 2 {
 		return
 	}
-	var row, nRows, accRuns, colRuns, accOff, modeStarts, cols int
+	var row, nRows, colRuns, modeStarts, cols int
 	for i := range scs {
 		sc := &scs[i]
 		for _, b := range sc.rowBufs() {
@@ -236,8 +238,7 @@ func fitBpScratch(scs []bpScratch) {
 			row = max(row, cap(r))
 		}
 		nRows = max(nRows, len(sc.rows))
-		accRuns, colRuns = max(accRuns, cap(sc.accRuns)), max(colRuns, cap(sc.colRuns))
-		accOff, modeStarts, cols = max(accOff, cap(sc.accOff)), max(modeStarts, cap(sc.modeStarts)), max(cols, cap(sc.cols))
+		colRuns, modeStarts, cols = max(colRuns, cap(sc.colRuns)), max(modeStarts, cap(sc.modeStarts)), max(cols, cap(sc.cols))
 	}
 	for i := range scs {
 		sc := &scs[i]
@@ -248,17 +249,15 @@ func fitBpScratch(scs []bpScratch) {
 		for r := range sc.rows {
 			growCap(&sc.rows[r], row)
 		}
-		growCap(&sc.accRuns, accRuns)
 		growCap(&sc.colRuns, colRuns)
-		growCap(&sc.accOff, accOff)
 		growCap(&sc.modeStarts, modeStarts)
 		growCap(&sc.cols, cols)
 	}
 }
 
 // rowBufs lists the scratch's single-row run buffers.
-func (sc *bpScratch) rowBufs() [6]*[]bpRun {
-	return [6]*[]bpRun{&sc.acc, &sc.ch, &sc.frag, &sc.res, &sc.alt, &sc.tmp}
+func (sc *bpScratch) rowBufs() [5]*[]bpRun {
+	return [5]*[]bpRun{&sc.ch, &sc.frag, &sc.res, &sc.alt, &sc.tmp}
 }
 
 // growCap raises the capacity of *b to at least n, keeping its length
@@ -271,14 +270,17 @@ func growCap[T any](b *[]T, n int) {
 	}
 }
 
-// bpConv computes the min-plus convolution of two monotone rows:
+// bpConv is the min-plus kernel of the budget-axis merges: the
+// convolution of two monotone rows,
 // out[k] = min{a[i]+b[j] : i+j == k, a[i]+b[j] <= maxSum} for
-// k <= maxStart. maxStart must not exceed the natural reach
-// accN+chN (the sum of the dense rows' last indices): a run claims its
-// value to the end of the output, which past the reach no exact dense
-// split could produce. The result lands in one of sc's fold buffers
-// and is valid until the next bpConv/bpPlaceMerge call on the same
-// scratch.
+// k <= maxStart, plus, with place, the option of equipping the child
+// itself, which absorbs its load entirely — out[k] may also take a[n1]
+// for any n1 with a feasible child cell at k-n1-1 (b must then be
+// non-empty). maxStart must not exceed the natural reach accN+chN (the
+// sum of the dense rows' last indices, plus one with place): a run
+// claims its value to the end of the output, which past the reach no
+// exact dense split could produce. The result lands in one of sc's fold
+// buffers and is valid until the next bpConv call on the same scratch.
 //
 // The candidate breakpoints (a_i.start+b_j.start, a_i.val+b_j.val)
 // form, for each i, a fragment with increasing starts and decreasing
@@ -288,59 +290,42 @@ func growCap[T any](b *[]T, n int) {
 // range is achievable by some exact split i+j = k with the same or
 // smaller value. Cost is O(|a|·(|b|+R)) with R the result size — both
 // bounded by the value range, not the row width.
-func bpConv(a, b []bpRun, maxSum int64, maxStart int32, sc *bpScratch) []bpRun {
+//
+// With place, equipping dominates every second-and-later child run
+// (same acc value, one extra unit of the resource axis), so each acc
+// run contributes at most two breakpoints: the first child run's pair
+// and the equip point one cell later. That makes the step linear in
+// the run counts — independent of the row widths the dense kernel pays
+// for.
+func bpConv(a, b []bpRun, maxSum int64, maxStart int32, place bool, sc *bpScratch) []bpRun {
+	pairs := b
+	if place {
+		// Only the pair with the child's first run can matter: a pair
+		// using any later child run has value >= a[i].val (child values
+		// are non-negative) and start past the equip point, so the
+		// equip point dominates it.
+		pairs = b[:1]
+	}
 	res, alt := sc.res[:0], sc.alt[:0]
 	for i := range a {
 		frag := sc.frag[:0]
-		for j := range b {
-			s := a[i].start + b[j].start
+		for j := range pairs {
+			s := a[i].start + pairs[j].start
 			if s > maxStart {
 				break // starts only grow with j
 			}
-			v := a[i].val + b[j].val
+			v := a[i].val + pairs[j].val
 			if v > maxSum {
 				continue // values only shrink with j
 			}
 			frag = append(frag, bpRun{start: s, val: v})
 		}
-		sc.frag = frag[:0]
-		if len(frag) == 0 {
-			continue
-		}
-		res, alt = envMin(res, frag, alt[:0]), res
-	}
-	sc.res, sc.alt = alt[:0], res // keep capacities live across calls
-	return res
-}
-
-// bpPlaceMerge is the fold step of the replica merges on compressed
-// rows: the min-plus convolution of acc row a with child row b under
-// the load cap maxSum, plus the option of equipping the child itself,
-// which absorbs its load entirely — out[k] may also take a[n1] for any
-// n1 with a feasible child cell at k-n1-1. b must be non-empty.
-//
-// Equipping dominates every second-and-later child run (same acc
-// value, one extra unit of the resource axis), so each acc run
-// contributes at most two breakpoints: the first child run's pair and
-// the equip point one cell later. That makes the whole step linear in
-// the run counts — independent of the row widths the dense kernel
-// pays for. maxStart must not exceed the natural reach accN+chN+1.
-func bpPlaceMerge(a, b []bpRun, maxSum int64, maxStart int32, sc *bpScratch) []bpRun {
-	res, alt := sc.res[:0], sc.alt[:0]
-	for i := range a {
-		frag := sc.frag[:0]
-		// Only the pair with the child's first run can matter: a pair
-		// using any later child run has value >= a[i].val (child
-		// values are non-negative) and start past the equip point, so
-		// the equip point dominates it.
-		if s := a[i].start + b[0].start; s <= maxStart && a[i].val+b[0].val <= maxSum {
-			frag = append(frag, bpRun{start: s, val: a[i].val + b[0].val})
-		}
 		// The equip point: value a[i].val from one cell past the
 		// child's first feasible cell. Equipping is never cap-checked —
 		// the child's load is absorbed, matching the dense kernel.
-		if s := a[i].start + b[0].start + 1; s <= maxStart {
-			if n := len(frag); n == 0 || a[i].val < frag[n-1].val {
+		if place {
+			n := len(frag)
+			if s := a[i].start + b[0].start + 1; s <= maxStart && (n == 0 || a[i].val < frag[n-1].val) {
 				frag = append(frag, bpRun{start: s, val: a[i].val})
 			}
 		}
@@ -350,7 +335,7 @@ func bpPlaceMerge(a, b []bpRun, maxSum int64, maxStart int32, sc *bpScratch) []b
 		}
 		res, alt = envMin(res, frag, alt[:0]), res
 	}
-	sc.res, sc.alt = alt[:0], res
+	sc.res, sc.alt = alt[:0], res // keep capacities live across calls
 	return res
 }
 
@@ -369,4 +354,155 @@ func bpShift(a []bpRun, delta, maxStart int32, dst []bpRun) []bpRun {
 		dst = append(dst, bpRun{start: s, val: a[i].val})
 	}
 	return dst
+}
+
+// foldSnap is the retained snapshot of one compressed fold step: the
+// runs of every column of the accumulator before (inRuns) and after
+// (outRuns) the merge, column c's at runs[off[c]:off[c+1]]. comp marks
+// a step that last ran compressed (a dense step records its decisions
+// in its solver's dense table instead). Reconstruction reads the input
+// runs, and a partial fold replay restarts from the output runs of the
+// step before the first stale one. The power DP's steps embed it with
+// one "column" per table row.
+type foldSnap struct {
+	comp            bool
+	inOff, outOff   []int32
+	inRuns, outRuns []bpRun
+}
+
+func (f *foldSnap) in(c int) []bpRun  { return f.inRuns[f.inOff[c]:f.inOff[c+1]] }
+func (f *foldSnap) out(c int) []bpRun { return f.outRuns[f.outOff[c]:f.outOff[c+1]] }
+
+// decodeSnap expands the output snapshot of a budget-axis fold step
+// into dst, a table of n rows of cols interleaved columns (see
+// foldSpec) with infeasible sentinel inval.
+func decodeSnap[T int32 | int](f *foldSnap, dst []T, n, cols int, inval T) {
+	for c := 0; c < cols; c++ {
+		decodeRuns(f.out(c), dst[c:], n, cols, inval)
+	}
+}
+
+// encodeCols encodes the cols interleaved columns of a table of n rows
+// into *runs, with per-column offsets in *off, dropping each column's
+// leading runs above limit. Returns false on a contract violation.
+func encodeCols[T int32 | int](tab []T, n, cols int, inval T, limit int64, off *[]int32, runs, tmp *[]bpRun) bool {
+	*off = grown(*off, cols+1)
+	*runs = (*runs)[:0]
+	for c := 0; c < cols; c++ {
+		(*off)[c] = int32(len(*runs))
+		enc, ok := encodeRuns(tab[c:], n, cols, inval, *tmp)
+		*tmp = enc[:0]
+		if !ok {
+			return false
+		}
+		for len(enc) > 0 && enc[0].val > limit {
+			enc = enc[1:]
+		}
+		*runs = append(*runs, enc...)
+	}
+	(*off)[cols] = int32(len(*runs))
+	return true
+}
+
+// foldSpec fixes a solver's budget-axis fold step: the MinCost merge
+// (one column, merged loads within W, equipping the child allowed) or
+// the QoS knapsack merge (one column per depth requirement, child flows
+// within the link bandwidth). Tables hold cols interleaved columns —
+// cell (r, c) at r*cols+c, row r being the server budget.
+type foldSpec[T int32 | int] struct {
+	cols    int
+	inval   T     // infeasible sentinel
+	loadCap int64 // largest merged (acc + child) load
+	chCap   int64 // largest usable child load (bpInfVal: no cap)
+	place   bool  // equipping the child, absorbing its load, is an option
+}
+
+// step runs one fold step on breakpoints: column c of out (rows
+// 0..outN) folds column c of acc (rows 0..accN) with column c of ch
+// (rows 0..chN) by bpConv, equipping the child an option with place. Child
+// values fall along the budget axis, so the cells over chCap are the
+// leading runs, which are dropped. outN must not exceed the natural
+// reach accN+chN (plus one with place). Inputs are read dense and out
+// is written dense; the runs are retained in snap. Merge work counts
+// the input runs (acc and capped child, per column), rows two per
+// column. Returns false, leaving out unwritten, when a column violates
+// the monotone contract: the caller then runs its dense kernel (and
+// clears snap.comp), so compression is exact unconditionally.
+func (f *foldSpec[T]) step(snap *foldSnap, acc, ch, out []T, accN, chN, outN int32, sc *bpScratch, ms *mergeStats) bool {
+	if !encodeCols(acc, int(accN)+1, f.cols, f.inval, bpInfVal, &snap.inOff, &snap.inRuns, &sc.tmp) ||
+		!encodeCols(ch, int(chN)+1, f.cols, f.inval, f.chCap, &sc.cols, &sc.colRuns, &sc.tmp) {
+		return false
+	}
+	snap.outOff = grown(snap.outOff, f.cols+1)
+	snap.outRuns = snap.outRuns[:0]
+	for c := 0; c < f.cols; c++ {
+		snap.outOff[c] = int32(len(snap.outRuns))
+		aR, cR := snap.in(c), sc.colRuns[sc.cols[c]:sc.cols[c+1]]
+		ms.cells += len(aR) + len(cR)
+		if len(aR) > 0 && len(cR) > 0 {
+			snap.outRuns = append(snap.outRuns, bpConv(aR, cR, f.loadCap, outN, f.place, sc)...)
+		}
+	}
+	snap.outOff[f.cols] = int32(len(snap.outRuns))
+	snap.comp = true
+	ms.rows += 2 * f.cols
+	decodeSnap(snap, out, int(outN)+1, f.cols, f.inval)
+	return true
+}
+
+// split reconstructs the decision the dense kernel would have recorded
+// for output cell (k, c) of compressed step snap: the acc row n1 the
+// value came from, and whether the child was equipped (its row is then
+// k-n1-1, else k-n1). The dense kernels visit candidates in ascending
+// n1 — at equal n1 the place candidate first — and overwrite only on a
+// strict improvement, so the decision is the first candidate in that
+// order achieving the cell's final value. Acc runs partition n1 into
+// ascending intervals, a run valued above the cell yields only beaten
+// candidates, and within a run the matching child rows form one
+// interval of the monotone child column, read from the child's retained
+// dense table ch (rows 0..chN). accN is the acc row's last index.
+func (f *foldSpec[T]) split(snap *foldSnap, ch []T, c int, k, accN, chN int32) (n1 int32, equip bool) {
+	v := bpAt(snap.out(c), k)
+	if v >= bpInfVal {
+		panic(fmt.Sprintf("core: reconstruction reached infeasible fold cell (%d,%d)", k, c))
+	}
+	col := ch[c:]
+	cFirst := firstFeasible(col, int(chN)+1, f.cols, f.inval, f.chCap)
+	in := snap.in(c)
+	for p := range in {
+		rs, va := in[p].start, in[p].val
+		if va > v {
+			continue
+		}
+		re := accN
+		if p+1 < len(in) {
+			re = in[p+1].start - 1
+		}
+		// Place: the child row k-1-n1 must be usable.
+		n1p := int32(-1)
+		if f.place && va == v {
+			if lo, hi := max(rs, k-1-chN), min(re, k-1-cFirst); lo <= hi {
+				n1p = lo
+			}
+		}
+		// No place: the child row k-n1 must hold exactly v-va, within
+		// both caps.
+		n1n := int32(-1)
+		if v <= f.loadCap && v-va <= f.chCap {
+			if cl, cr, ok := valueRun(col, f.cols, cFirst, chN, v-va); ok {
+				if lo, hi := max(rs, k-cr), min(re, k-cl); lo <= hi {
+					n1n = lo
+				}
+			}
+		}
+		switch {
+		case n1p >= 0 && (n1n < 0 || n1p <= n1n):
+			return n1p, true
+		case n1n >= 0:
+			return n1n, false
+		}
+		// Later runs hold larger n1: the first run with a candidate
+		// owns the decision.
+	}
+	panic(fmt.Sprintf("core: no split for fold cell (%d,%d)", k, c))
 }

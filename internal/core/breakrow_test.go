@@ -178,7 +178,7 @@ func TestConvMatchesDense(t *testing.T) {
 		// Exercise capB-style truncation: outN anywhere up to the
 		// natural reach (wA-1)+(wB-1), never past it.
 		outN := rng.Intn(wA + wB - 1)
-		got := bpConv(ra, rb, maxSum, int32(outN), &sc)
+		got := bpConv(ra, rb, maxSum, int32(outN), false, &sc)
 		want := denseConv(a, b, maxSum, outN, -1)
 		for k := 0; k <= outN; k++ {
 			if g := bpAt(got, int32(k)); g != want[k] {
@@ -189,7 +189,7 @@ func TestConvMatchesDense(t *testing.T) {
 	}
 }
 
-// densePlaceMerge is the dense reference for bpPlaceMerge, mirroring
+// densePlaceMerge is the dense reference for bpConv with place, mirroring
 // the solvers' merge loops: no-place pairs are cap-checked, equipping
 // the child absorbs its load and keeps the acc value with one extra
 // unit of the resource axis.
@@ -237,7 +237,7 @@ func TestPlaceMergeMatchesDense(t *testing.T) {
 		rb, _ := encodeRuns(b, len(b), 1, -1, nil)
 		maxSum := int64(rng.Intn(2*maxV + 2))
 		outN := rng.Intn(wA + wB) // natural reach (wA-1)+(wB-1)+1
-		got := bpPlaceMerge(ra, rb, maxSum, int32(outN), &sc)
+		got := bpConv(ra, rb, maxSum, int32(outN), true, &sc)
 		want := densePlaceMerge(a, b, maxSum, outN, -1)
 		for k := 0; k <= outN; k++ {
 			if g := bpAt(got, int32(k)); g != want[k] {

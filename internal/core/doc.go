@@ -51,4 +51,12 @@
 // within each row's effective length (the node budget left after the
 // other mode counts); the tail beyond it is unreachable by pigeonhole,
 // which the encoder also verifies cell by cell.
+//
+// MinCost and QoS fold children along the same budget axis and share
+// one compressed fold step and lazy split (foldSpec in breakrow.go):
+// MinCost folds one column with a "place here" option of equipping the
+// child, QoS one column per depth requirement under link bandwidths.
+// Compressed steps of all three solvers retain one snapshot type
+// (foldSnap, the step's input and output runs) for lazy reconstruction
+// and for fold replays restarting after the last still-exact step.
 package core

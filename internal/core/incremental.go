@@ -89,14 +89,17 @@ type SolveStats struct {
 	// MinCostSolver and QoSSolver.
 	RootMergeRetained int
 	// MergeCellsScanned measures the merge work of the solve: table
-	// cells visited by dense merge kernels plus breakpoint runs visited
-	// by compressed ones. Comparing it against the dense-only volume of
-	// a cold solve is the direct read on what row compression saves.
+	// cells visited by dense merge kernels plus the input breakpoint
+	// runs of compressed ones — every solver counts a compressed step's
+	// accumulator and child runs of each row pair it folds, never its
+	// output runs. Comparing it against the dense-only volume of a cold
+	// solve is the direct read on what row compression saves.
 	MergeCellsScanned int
 	// RowsCompressed counts the DP rows the merge kernels ran in
-	// breakpoint form instead of densely (two rows — accumulator and
-	// child — per compressed merge step). 0 when every row sat below
-	// the activation width minDenseWidth.
+	// breakpoint form instead of densely: the accumulator and child
+	// rows of each compressed merge step (two per column of a MinCost
+	// or QoS fold). 0 when every row sat below the activation width
+	// minDenseWidth.
 	RowsCompressed int
 	// FoldSuffixReplayed counts the merge steps re-executed by partial
 	// child-fold replays: a dirty node whose first stale child sits at

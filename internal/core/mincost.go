@@ -67,17 +67,13 @@ type mcDec struct {
 
 // mcStep is the decision table produced by merging one child. A step
 // run by the dense kernel stores one mcDec per output cell; a step run
-// by the compressed kernel (comp) stores breakpoint snapshots of its
-// accumulator input (inRuns) and output (runs) instead — decisions are
-// reconstructed lazily from the snapshots (see lazyDec), and the
-// output snapshot doubles as the restart point for partial fold
-// replays (see solveNode).
+// by the compressed kernel (comp) keeps the single-column snapshot of
+// its fold instead, from which decisions are reconstructed lazily (see
+// foldSpec.split) and partial fold replays restart (see solveNode).
 type mcStep struct {
 	dimE, dimN int32
 	decs       []mcDec
-	comp       bool
-	inRuns     []bpRun
-	runs       []bpRun
+	foldSnap
 }
 
 // MinCostSolver solves MinCost-WithPre instances on one tree. Merge
@@ -136,6 +132,7 @@ type MinCostSolver struct {
 	existing  *tree.Replicas
 	w         int32
 	placement *tree.Replicas
+	fs        foldSpec[int32] // the compressed merge's fold (see SolveInto)
 }
 
 // NewMinCostSolver returns a reusable solver for MinCost instances on t.
@@ -244,6 +241,11 @@ func (s *MinCostSolver) SolveInto(existing *tree.Replicas, W int, c cost.Simple,
 	}
 
 	s.existing, s.w, s.placement = existing, int32(W), dst
+	// The compressed merge folds one column, merged loads within W,
+	// equipping the child an option. It is built once per solve, not
+	// per merge: building it inside merge worsened the register
+	// allocation of the dense kernel's hot loop there.
+	s.fs = foldSpec[int32]{cols: 1, inval: invalid, loadCap: int64(W), chCap: bpInfVal, place: true}
 
 	// Snapshot the mask before anything reads it: updateCap's greedy
 	// feasibility pass must avoid down hosts, and the staleness diff
@@ -341,7 +343,7 @@ func (s *MinCostSolver) solveNode(j, w int) error {
 		prev := &s.steps[j][start-1]
 		accE, accN = prev.dimE, prev.dimN
 		acc = ar.alloc(int(accN) + 1)
-		decodeRuns(prev.runs, acc, len(acc), 1, invalid)
+		decodeSnap(&prev.foldSnap, acc, len(acc), 1, invalid)
 		ms.replayed += len(kids) - start
 	}
 	for st := start; st < len(kids); st++ {
@@ -396,7 +398,7 @@ func (s *MinCostSolver) merge(j, st, ch int, acc []int32, accE, accN int32, last
 	// child — the breakpoint kernel always folds the place option) run
 	// on breakpoints; everything else takes the dense kernel below.
 	if accE == 0 && chE == 0 && !childPre && !chDown && int(outN)+1 >= minDenseWidth &&
-		s.mergeCompressed(step, acc, chVals, out, accN, chN, outN, sc, ms) {
+		s.fs.step(&step.foldSnap, acc, chVals, out, accN, chN, outN, sc, ms) {
 		return out, outE, outN
 	}
 	step.comp = false
@@ -464,102 +466,6 @@ func (s *MinCostSolver) merge(j, st, ch int, acc []int32, accE, accN int32, last
 	}
 
 	return out, outE, outN
-}
-
-// mergeCompressed runs one fold step on breakpoints: encode both input
-// rows, fold them with bpPlaceMerge, decode into the dense output row.
-// The dense tables around the kernel are untouched — children are read
-// dense, the output lands dense — so the root scan, the incremental
-// bookkeeping and the parallel pass see exactly the representation
-// they always did. Returns false (leaving out unwritten) when either
-// input row fails the monotone-contract check, which sends the caller
-// to the dense kernel; compression is therefore exact unconditionally.
-func (s *MinCostSolver) mergeCompressed(step *mcStep, acc, chVals, out []int32, accN, chN, outN int32, sc *bpScratch, ms *mergeStats) bool {
-	aRuns, okA := encodeRuns(acc, int(accN)+1, 1, invalid, sc.acc)
-	sc.acc = aRuns
-	if !okA {
-		return false
-	}
-	cRuns, okC := encodeRuns(chVals, int(chN)+1, 1, invalid, sc.ch)
-	sc.ch = cRuns
-	if !okC {
-		return false
-	}
-	ms.cells += len(aRuns) + len(cRuns)
-	ms.rows += 2
-	var res []bpRun
-	if len(aRuns) > 0 && len(cRuns) > 0 {
-		res = bpPlaceMerge(aRuns, cRuns, int64(s.w), outN, sc)
-	}
-	step.comp = true
-	step.inRuns = append(step.inRuns[:0], aRuns...)
-	step.runs = append(step.runs[:0], res...)
-	decodeRuns(res, out, int(outN)+1, 1, invalid)
-	return true
-}
-
-// lazyDec reconstructs the decision of cell (0, k) of compressed step
-// st of node j: the decision the dense kernel would have recorded. The
-// dense merge writes cells in acc-coordinate order (n1 ascending; for
-// equal n1 the place option lands before the no-place option, its
-// child coordinate being one smaller) and only overwrites on a strict
-// improvement, so the recorded decision is the first candidate in that
-// order achieving the cell's final value. The snapshots make that
-// candidate directly computable: acc runs partition n1 into disjoint
-// ascending intervals, every candidate from a run with value above the
-// cell's is beaten, and within a run the matching child cells form one
-// interval of the (monotone, still retained) dense child row.
-func (s *MinCostSolver) lazyDec(j, st int, step *mcStep, ch int, k int32) mcDec {
-	v := bpAt(step.runs, k)
-	if v >= bpInfVal {
-		panic(fmt.Sprintf("core: reconstruction reached infeasible cell (0,%d) at node %d", k, j))
-	}
-	chVals := s.vals[ch]
-	chN := s.dimN[ch]
-	cFirst := firstFeasible(chVals, int(chN)+1, 1, invalid)
-	accN := int32(0)
-	if st > 0 {
-		accN = s.steps[j][st-1].dimN
-	}
-	noPlaceOK := v <= int64(s.w)
-	inRuns := step.inRuns
-	for p := range inRuns {
-		rs, va := inRuns[p].start, inRuns[p].val
-		if va > v {
-			continue // every candidate of this run is beaten
-		}
-		re := accN
-		if p+1 < len(inRuns) {
-			re = inRuns[p+1].start - 1
-		}
-		// Earliest n1 in [rs, re] whose place option hits k: the child
-		// cell k-1-n1 must be feasible (within [cFirst, chN]).
-		n1p := int32(-1)
-		if va == v {
-			if lo, hi := max(rs, k-1-chN), min(re, k-1-cFirst); lo <= hi {
-				n1p = lo
-			}
-		}
-		// Earliest n1 whose no-place option hits k with the final
-		// value: the child cell k-n1 must hold exactly v-va.
-		n1n := int32(-1)
-		if noPlaceOK {
-			if cl, cr, ok := valueRun(chVals, 1, cFirst, chN, v-va); ok {
-				if lo, hi := max(rs, k-cr), min(re, k-cl); lo <= hi {
-					n1n = lo
-				}
-			}
-		}
-		switch {
-		case n1p >= 0 && (n1n < 0 || n1p <= n1n):
-			return mcDec{nPrev: n1p, place: true}
-		case n1n >= 0:
-			return mcDec{nPrev: n1n}
-		}
-		// Later runs hold strictly larger n1, so the first run with any
-		// candidate owns the decision; keep scanning only on none.
-	}
-	panic(fmt.Sprintf("core: no decision for cell (0,%d) at node %d step %d", k, j, st))
 }
 
 // scanRoot evaluates every root-table cell with and without a replica on
@@ -753,7 +659,12 @@ func (s *MinCostSolver) rebuild(j int, e, n int32) {
 			if e != 0 {
 				panic(fmt.Sprintf("core: compressed step with e=%d at node %d", e, j))
 			}
-			dec = s.lazyDec(j, st, step, ch, n)
+			accN := int32(0)
+			if st > 0 {
+				accN = steps[st-1].dimN
+			}
+			n1, place := s.fs.split(&step.foldSnap, s.vals[ch], 0, n, accN, s.dimN[ch])
+			dec = mcDec{nPrev: n1, place: place}
 		} else {
 			dec = step.decs[e*(step.dimN+1)+n]
 		}

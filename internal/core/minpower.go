@@ -87,16 +87,17 @@ func unpackProv(p uint64) (aFlat, cFlat int32, mode uint8) {
 // pStep is the decision table produced by merging one child: packed
 // provenance per cell of the post-merge table. A step merged by the
 // compressed kernel (comp == true) materialises no provenance;
-// instead it snapshots its encoded input, child and output rows
+// instead it snapshots its encoded input and output rows (the embedded
+// fold snapshot, one run list per n_M row) and child rows
 // (minpower_compress.go), from which reconstruction re-derives any
 // cell's decision lazily and a suffix replay re-seeds the fold.
 type pStep struct {
 	prov []uint64
 
-	comp                    bool
-	accLen, chLen, outLen   int32 // n_M-axis widths of the merged tables
-	inOff, chOff, outOff    []int32
-	inRuns, chRuns, outRuns []bpRun
+	foldSnap
+	accLen, chLen, outLen int32 // n_M-axis widths of the merged tables
+	chOff                 []int32
+	chRuns                []bpRun
 }
 
 // SolvePower runs the MinPower-BoundedCost dynamic program. The table of

@@ -19,8 +19,8 @@ package core
 // A merge folds every (acc row, child row) pair into output rows:
 //
 //   - the no-place and mode-M place options land in the coordinate-sum
-//     row, and their contribution is exactly bpPlaceMerge — the capped
-//     min-plus convolution plus the equip point one cell right;
+//     row, and their contribution is exactly bpConv with place — the
+//     capped min-plus convolution plus the equip point one cell right;
 //   - a mode-m place (m < M) lands in the sum row bumped by one in
 //     field m and contributes the acc row shifted to the first child
 //     cell mode m can carry (bpShift) — the staircase the dense
@@ -102,10 +102,10 @@ func (d *PowerDP) mergeCompressed(step *pStep, acc []int32, accShape shape, chVa
 	chRows := chShape.size / int(chLen)
 	outRows := outShape.size / int(outLen)
 
-	if !encodeTableRows(acc, accRows, accLen, M, &sc.accOff, &sc.accRuns, &sc.tmp) {
+	if !encodeTableRows(acc, accRows, accLen, M, &step.inOff, &step.inRuns, &sc.tmp) {
 		return false
 	}
-	if !encodeTableRows(chVals, chRows, chLen, M, &sc.cols, &sc.colRuns, &sc.tmp) {
+	if !encodeTableRows(chVals, chRows, chLen, M, &step.chOff, &step.chRuns, &sc.tmp) {
 		return false
 	}
 	ms.rows += accRows + chRows
@@ -116,7 +116,7 @@ func (d *PowerDP) mergeCompressed(step *pStep, acc []int32, accShape shape, chVa
 	caps := d.prob.Power.Caps
 	sc.modeStarts = grown(sc.modeStarts, chRows*(M-1))
 	for r := 0; r < chRows; r++ {
-		cRuns := sc.colRuns[sc.cols[r]:sc.cols[r+1]]
+		cRuns := step.chRuns[step.chOff[r]:step.chOff[r+1]]
 		for m := 1; m < M; m++ {
 			s := int32(-1)
 			for _, run := range cRuns {
@@ -152,7 +152,7 @@ func (d *PowerDP) mergeCompressed(step *pStep, acc []int32, accShape shape, chVa
 	ad := aDig[:M-1]
 	sumA := int32(0)
 	for ar := 0; ar < accRows; ar++ {
-		aRuns := sc.accRuns[sc.accOff[ar]:sc.accOff[ar+1]]
+		aRuns := step.in(ar)
 		if len(aRuns) != 0 {
 			baseA := int32(0)
 			for f := 0; f < M-1; f++ {
@@ -164,7 +164,7 @@ func (d *PowerDP) mergeCompressed(step *pStep, acc []int32, accShape shape, chVa
 			}
 			sumC := int32(0)
 			for cr := 0; cr < chRows; cr++ {
-				cRuns := sc.colRuns[sc.cols[cr]:sc.cols[cr+1]]
+				cRuns := step.chRuns[step.chOff[cr]:step.chOff[cr+1]]
 				if len(cRuns) != 0 {
 					baseC := int32(0)
 					for f := 0; f < M-1; f++ {
@@ -173,7 +173,7 @@ func (d *PowerDP) mergeCompressed(step *pStep, acc []int32, accShape shape, chVa
 					row0 := baseA + baseC
 					s0 := sumA + sumC
 					ms.cells += len(aRuns) + len(cRuns)
-					res := bpPlaceMerge(aRuns, cRuns, wmSum, outN-s0, sc)
+					res := bpConv(aRuns, cRuns, wmSum, outN-s0, true, sc)
 					rows[row0], sc.tmp = envMinInto(rows[row0], res, sc.tmp)
 					if lim := outN - s0 - 1; lim >= 0 {
 						for m := 1; m < M; m++ {
@@ -194,34 +194,19 @@ func (d *PowerDP) mergeCompressed(step *pStep, acc []int32, accShape shape, chVa
 		bumpDigits(ad, accLen, &sumA)
 	}
 
-	// Decode the accumulated rows into the dense output and snapshot
-	// the step's inputs and outputs for lazy provenance and suffix
-	// replays.
+	// Snapshot the output rows (the input and child rows were encoded
+	// in place) for lazy provenance and suffix replays, and decode the
+	// snapshot into the dense output.
 	step.comp = true
 	step.accLen, step.chLen, step.outLen = accLen, chLen, outLen
-	step.inOff = append(step.inOff[:0], sc.accOff[:accRows+1]...)
-	step.inRuns = append(step.inRuns[:0], sc.accRuns...)
-	step.chOff = append(step.chOff[:0], sc.cols[:chRows+1]...)
-	step.chRuns = append(step.chRuns[:0], sc.colRuns...)
 	step.outOff = grown(step.outOff, outRows+1)
 	step.outOff[0] = 0
 	step.outRuns = step.outRuns[:0]
-	od := aDig[:M-1]
-	for f := range od {
-		od[f] = 0
-	}
-	sumO := int32(0)
 	for r := 0; r < outRows; r++ {
-		eff := max(outLen-sumO, 0)
-		base := r * int(outLen)
-		decodeRuns(rows[r], out[base:], int(eff), 1, pUnreached)
-		for i := base + int(eff); i < base+int(outLen); i++ {
-			out[i] = pUnreached
-		}
 		step.outRuns = append(step.outRuns, rows[r]...)
 		step.outOff[r+1] = int32(len(step.outRuns))
-		bumpDigits(od, outLen, &sumO)
 	}
+	decodeStep(step, out, M)
 	return true
 }
 
@@ -236,9 +221,9 @@ func envMinInto(acc, src, spare []bpRun) (row, next []bpRun) {
 }
 
 // decodeStep expands the output snapshot of a compressed merge step
-// back into a dense table — the accumulated input of the step after
-// it, used by the suffix replays of solveNode — restoring the
-// unreached tails past each row's effective length.
+// into a dense table — the step's own dense output, and the
+// accumulated input a suffix replay of solveNode restarts from —
+// restoring the unreached tails past each row's effective length.
 func decodeStep(step *pStep, dst []int32, M int) {
 	outLen := step.outLen
 	rows := len(step.outOff) - 1
@@ -248,7 +233,7 @@ func decodeStep(step *pStep, dst []int32, M int) {
 	for r := 0; r < rows; r++ {
 		eff := max(outLen-sum, 0)
 		base := r * int(outLen)
-		decodeRuns(step.outRuns[step.outOff[r]:step.outOff[r+1]], dst[base:], int(eff), 1, pUnreached)
+		decodeRuns(step.out(r), dst[base:], int(eff), 1, pUnreached)
 		for i := base + int(eff); i < base+int(outLen); i++ {
 			dst[i] = pUnreached
 		}
@@ -265,7 +250,7 @@ func (st *pStep) lazyProv(cell int32, caps []int, M int) uint64 {
 	accLen, chLen, outLen := st.accLen, st.chLen, st.outLen
 	outRow := cell / outLen
 	k := cell % outLen
-	vstar := bpAt(st.outRuns[st.outOff[outRow]:st.outOff[outRow+1]], k)
+	vstar := bpAt(st.out(int(outRow)), k)
 	if vstar >= bpInfVal {
 		return noProv
 	}
@@ -297,7 +282,7 @@ func (st *pStep) lazyProv(cell int32, caps []int, M int) uint64 {
 			arIdx = arIdx*accLen + aDig[f]
 			sumA += aDig[f]
 		}
-		aRuns := st.inRuns[st.inOff[arIdx]:st.inOff[arIdx+1]]
+		aRuns := st.in(int(arIdx))
 		if len(aRuns) != 0 {
 			// Child digits for the no-place and mode-M options; a mode-m
 			// place reduces digit m-1 by one, which may repair a single

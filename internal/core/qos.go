@@ -98,9 +98,9 @@ type QoSSolver struct {
 	choices [][]uint8
 	splits  [][]int
 
-	// Per-child compressed fold-step snapshots (indexed by the CHILD's
-	// id, like splits).
-	qsteps []qStep
+	// Per-child compressed fold-step snapshots, one column per
+	// requirement (indexed by the CHILD's id, like splits).
+	snaps []foldSnap
 
 	// Incremental bookkeeping.
 	lastW    int
@@ -110,22 +110,6 @@ type QoSSolver struct {
 	// Per solve:
 	w int
 	c *tree.Constraints
-}
-
-// qStep is the retained snapshot of one compressed knapsack fold step
-// (the merge of one child into its parent's accumulator): breakpoint
-// runs of every requirement column of the accumulator before (inRuns)
-// and after (outRuns) the merge, concatenated with per-column offsets.
-// comp marks whether the step's last run was compressed; dense steps
-// record their splits in QoSSolver.splits instead, compressed ones
-// reconstruct them lazily (lazySplit) and restart partial fold replays
-// from their output snapshot.
-type qStep struct {
-	comp    bool
-	inOff   []int32
-	inRuns  []bpRun
-	outOff  []int32
-	outRuns []bpRun
 }
 
 // NewQoSSolver returns a reusable constrained-counting solver for t.
@@ -157,7 +141,7 @@ func (s *QoSSolver) Reset(t *tree.Tree) {
 	s.tabs = grownKeep(s.tabs, n)
 	s.choices = grownKeep(s.choices, n)
 	s.splits = grownKeep(s.splits, n)
-	s.qsteps = grownKeep(s.qsteps, n)
+	s.snaps = grownKeep(s.snaps, n)
 	s.lastC = nil
 }
 
@@ -249,7 +233,7 @@ func (s *QoSSolver) solveNode(j, w int) error {
 	// keep no snapshot — and any input change to a prefix step dirties
 	// its child, which moves the restart before the change.
 	start := s.foldStart(j, len(kids), false, func(q int) bool { return s.track.dirty[kids[q]] },
-		func(q int) bool { return s.qsteps[kids[q]].comp })
+		func(q int) bool { return s.snaps[kids[q]].comp })
 
 	// Knapsack merge of the children: acc cell (r, L) is the
 	// minimal sum of child flows using r replicas below, every
@@ -267,12 +251,8 @@ func (s *QoSSolver) solveNode(j, w int) error {
 		for _, ch := range kids[:start] {
 			sz += s.size[ch]
 		}
-		prev := &s.qsteps[kids[start-1]]
 		acc = ar.alloc((sz + 1) * accRows)
-		for L := 0; L < accRows; L++ {
-			decodeRuns(prev.outRuns[prev.outOff[L]:prev.outOff[L+1]],
-				acc[L:], sz+1, accRows, qInf)
-		}
+		decodeSnap(&s.snaps[kids[start-1]], acc, sz+1, accRows, qInf)
 		ms.replayed += len(kids) - start
 	}
 	for st := start; st < len(kids); st++ {
@@ -281,9 +261,10 @@ func (s *QoSSolver) solveNode(j, w int) error {
 		bw := s.c.Bandwidth(child)
 		ctab := s.tabs[child]
 		next := ar.alloc((sz + csz + 1) * accRows)
-		step := &s.qsteps[child]
+		step := &s.snaps[child]
+		fs := s.fold(child, accRows)
 		if sz+csz+1 >= minDenseWidth &&
-			s.mergeColumns(step, acc, ctab, next, sz, csz, accRows, bw, sc, ms) {
+			fs.step(step, acc, ctab, next, int32(sz), int32(csz), int32(sz+csz), sc, ms) {
 			acc = next
 			sz += csz
 			continue
@@ -371,114 +352,17 @@ func (s *QoSSolver) solveNode(j, w int) error {
 	return nil
 }
 
-// mergeColumns runs one knapsack fold step on breakpoints: every
-// requirement column of the accumulator and of the (bandwidth-
-// filtered) child table is encoded, convolved with bpConv, decoded
-// into the dense next block, and the input/output runs are retained in
-// step for lazy split reconstruction and partial fold replays. The
-// bandwidth filter is a run-prefix drop: child column values decrease
-// with the replica count, so the cells over the link's bandwidth are
-// exactly the leading runs. Returns false — sending the caller to the
-// dense kernel — when any column violates the monotone contract.
-func (s *QoSSolver) mergeColumns(step *qStep, acc, ctab, next []int, sz, csz, accRows, bw int, sc *bpScratch, ms *mergeStats) bool {
-	step.inOff = grown(step.inOff, accRows+1)
-	inRuns := step.inRuns[:0]
-	for L := 0; L < accRows; L++ {
-		step.inOff[L] = int32(len(inRuns))
-		runs, ok := encodeRuns(acc[L:], sz+1, accRows, qInf, sc.tmp)
-		sc.tmp = runs
-		if !ok {
-			step.inRuns = inRuns
-			return false
-		}
-		inRuns = append(inRuns, runs...)
+// fold is the budget-axis fold of the knapsack merge of child, the
+// parent's accumulator having accRows requirement columns. Sums at or
+// past qInf are infeasible in the dense kernel (they never beat its
+// qInf fill), so the fold caps them out; child flows over the link's
+// bandwidth never merge.
+func (s *QoSSolver) fold(child, accRows int) foldSpec[int] {
+	f := foldSpec[int]{cols: accRows, inval: qInf, loadCap: int64(qInf) - 1, chCap: bpInfVal}
+	if bw := s.c.Bandwidth(child); bw >= 0 {
+		f.chCap = int64(bw)
 	}
-	step.inOff[accRows] = int32(len(inRuns))
-	step.inRuns = inRuns
-
-	sc.cols = grown(sc.cols, accRows+1)
-	colRuns := sc.colRuns[:0]
-	for L := 0; L < accRows; L++ {
-		sc.cols[L] = int32(len(colRuns))
-		runs, ok := encodeRuns(ctab[L:], csz+1, accRows, qInf, sc.tmp)
-		sc.tmp = runs
-		if !ok {
-			sc.colRuns = colRuns
-			return false
-		}
-		if bw >= 0 {
-			for len(runs) > 0 && runs[0].val > int64(bw) {
-				runs = runs[1:]
-			}
-		}
-		colRuns = append(colRuns, runs...)
-	}
-	sc.cols[accRows] = int32(len(colRuns))
-	sc.colRuns = colRuns
-
-	step.outOff = grown(step.outOff, accRows+1)
-	outRuns := step.outRuns[:0]
-	for L := 0; L < accRows; L++ {
-		step.outOff[L] = int32(len(outRuns))
-		aR := step.inRuns[step.inOff[L]:step.inOff[L+1]]
-		cR := sc.colRuns[sc.cols[L]:sc.cols[L+1]]
-		var res []bpRun
-		if len(aR) > 0 && len(cR) > 0 {
-			// Sums at or past qInf are infeasible in the dense kernel
-			// (they never beat the qInf fill), so cap them out here.
-			res = bpConv(aR, cR, int64(qInf)-1, int32(sz+csz), sc)
-		}
-		ms.cells += len(aR) + len(cR) + len(res)
-		outRuns = append(outRuns, res...)
-		decodeRuns(res, next[L:], sz+csz+1, accRows, qInf)
-	}
-	step.outOff[accRows] = int32(len(outRuns))
-	step.outRuns = outRuns
-	step.comp = true
-	ms.rows += 2 * accRows
-	return true
-}
-
-// lazySplit reconstructs the split the dense kernel would have
-// recorded for output cell (rp, L) of child's compressed fold step:
-// the dense loop visits the cell's candidate splits in ascending r1 =
-// rp - r2 order and keeps the first strict improvement, so the
-// recorded r2 belongs to the smallest r1 achieving the cell's final
-// value. pre is the replica capacity of the accumulator the step
-// merged into (the sum of the preceding children's sizes).
-func (s *QoSSolver) lazySplit(child, rp, L, accRows, pre int) int {
-	step := &s.qsteps[child]
-	v := bpAt(step.outRuns[step.outOff[L]:step.outOff[L+1]], int32(rp))
-	if v >= bpInfVal {
-		panic(fmt.Sprintf("core: reconstruction reached infeasible cell (%d,%d) at child %d", rp, L, child))
-	}
-	inR := step.inRuns[step.inOff[L]:step.inOff[L+1]]
-	ctab := s.tabs[child]
-	csz := s.size[child]
-	bw := s.c.Bandwidth(child)
-	cFirst := firstFeasible(ctab[L:], csz+1, accRows, qInf)
-	for p := range inR {
-		rs, va := inR[p].start, inR[p].val
-		if va > v {
-			continue // every candidate of this run is beaten
-		}
-		re := int32(pre)
-		if p+1 < len(inR) {
-			re = inR[p+1].start - 1
-		}
-		cvT := v - va
-		if bw >= 0 && cvT > int64(bw) {
-			continue // the dense kernel drops over-bandwidth flows
-		}
-		cl, cr, ok := valueRun(ctab[L:], accRows, cFirst, int32(csz), cvT)
-		if !ok {
-			continue
-		}
-		if lo, hi := max(rs, int32(rp)-cr), min(re, int32(rp)-cl); lo <= hi {
-			return rp - int(lo)
-		}
-	}
-	panic(fmt.Sprintf("core: no split for cell (%d,%d) at child %d", rp, L, child))
+	return f
 }
 
 // build reconstructs the placement behind tab cell (r, L) of node j
@@ -499,8 +383,10 @@ func (s *QoSSolver) build(res *tree.Replicas, j, r, L int) {
 		child := kids[i]
 		pre -= s.size[child]
 		var r2 int
-		if s.qsteps[child].comp {
-			r2 = s.lazySplit(child, accR, accRow, accRows, pre)
+		if step := &s.snaps[child]; step.comp {
+			fs := s.fold(child, accRows)
+			n1, _ := fs.split(step, s.tabs[child], accRow, int32(accR), int32(pre), int32(s.size[child]))
+			r2 = accR - int(n1)
 		} else {
 			r2 = s.splits[child][accR*accRows+accRow]
 		}
